@@ -7,7 +7,7 @@ real operations on generated reports, fits fresh coefficients, and shows
 what the change does to a capacity estimate.
 """
 
-from hiermon.cli import NODE_REPORT_KB, PRESETS, max_machines
+from hiermon.cli import PRESETS, max_machines
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     fit,
@@ -15,6 +15,7 @@ from hiermon.loadmodel import (
     write_coefficients,
     write_samples_csv,
 )
+from hiermon.report import REFERENCE_NODE_REPORT_BYTES
 
 sizes_kb = [0.5, 5.0, 25.0, 50.0]
 print(f"timing parse/serialize/aggregate at {sizes_kb} kB ...")
@@ -41,6 +42,6 @@ print("wrote calibration_samples.csv and calibration_coefficients.txt")
 # a modern host, so the same topology saturates far earlier under them.
 preset = PRESETS["single-level"]
 print()
-print(f"single-level capacity at {NODE_REPORT_KB} kB node reports:")
+print(f"single-level capacity at {REFERENCE_NODE_REPORT_BYTES} B node reports:")
 print(f"  synthetic defaults: {max_machines(preset, DEFAULT_COEFFICIENTS)} machines")
 print(f"  this host:          {max_machines(preset, coeffs)} machines")

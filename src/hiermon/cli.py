@@ -30,6 +30,7 @@ from hiermon.loadmodel import (
     hierarchy_timings,
     measure_costs,
     read_coefficients,
+    read_key_values,
     write_coefficients,
     write_samples_csv,
 )
@@ -51,10 +52,6 @@ from hiermon.sim import (
     write_machines_csv,
     write_trace_csv,
 )
-
-#: Reports are sized in reference node-report units for all analytic tables.
-NODE_REPORT_KB = 0.5
-
 
 class UsageError(Exception):
     """Bad flags, bad files, or an impossible topology request."""
@@ -124,14 +121,12 @@ def sweep_preset(
     rows = []
     for m in range(stride, n_max // unit + 1, stride):
         config = preset.config(m * unit)
-        loads = hierarchy_loads(config, coeffs, NODE_REPORT_KB)
+        loads = hierarchy_loads(config, coeffs)
         saturated = [lv for lv in range(1, config.depth + 1) if loads[lv].is_saturated]
         rows.append(
             SweepRow(
                 n_total=m * unit,
-                t_prop=propagation_time(
-                    config, hierarchy_timings(config, coeffs, NODE_REPORT_KB), config.depth
-                ),
+                t_prop=propagation_time(config, hierarchy_timings(loads), config.depth),
                 root_utilization=loads[config.depth].utilization,
                 first_saturated_level=saturated[0] if saturated else None,
             )
@@ -140,44 +135,35 @@ def sweep_preset(
 
 
 def max_machines(preset: HierarchyPreset, coeffs: LoadCoefficients) -> int:
-    """Largest machine count whose root utilization still stays below 1."""
+    """Largest machine count whose root utilization still stays below 1.
 
-    def root_ok(m: int) -> bool:
+    Root utilization is affine in the top-level fanout ``m``, so ``u(1)`` and
+    ``u(2)`` place the boundary; the exact predicate then settles rounding.
+    """
+
+    def root_u(m: int) -> float:
         config = preset.config(m * preset.machines_per_unit)
-        loads = hierarchy_loads(config, coeffs, NODE_REPORT_KB)
-        return loads[config.depth].utilization < 1.0
+        return hierarchy_loads(config, coeffs)[config.depth].utilization
 
-    if not root_ok(1):
+    u1 = root_u(1)
+    if u1 >= 1.0:
         return 0
-    hi = 1
-    while root_ok(hi):
-        hi *= 2
-    lo = hi // 2  # invariant: root_ok(lo) and not root_ok(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if root_ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * preset.machines_per_unit
+    m = max(1, math.ceil((1.0 - u1) / (root_u(2) - u1)))
+    while m > 1 and root_u(m) >= 1.0:
+        m -= 1
+    while root_u(m + 1) < 1.0:
+        m += 1
+    return m * preset.machines_per_unit
 
 
 # --- config and timings files -------------------------------------------------
 
 
 def _read_kv(path: Path) -> dict[str, str]:
-    if not path.is_file():
-        raise UsageError(f"{path}: no such file")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
-    return values
+    try:
+        return read_key_values(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def read_config_file(path: Path | str) -> HierarchyConfig:
@@ -287,7 +273,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.timings is not None:
         timings = read_timings_file(args.timings, config.depth)
     else:
-        timings = hierarchy_timings(config, coeffs, NODE_REPORT_KB)
+        timings = hierarchy_timings(hierarchy_loads(config, coeffs))
         print(f"# coefficients: {_coeffs_label(coeffs, args)}", file=sys.stderr)
     print("level,t_prop_s,t_stale_s")
     for level in range(config.depth + 1):

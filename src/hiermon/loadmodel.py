@@ -24,7 +24,9 @@ from random import Random
 from typing import Callable, Sequence
 
 from hiermon.model import ChannelTimings, HierarchyConfig
-from hiermon.report import LevelKind, aggregate, parse, report_of_size_kb, serialize
+from hiermon.report import (
+    REFERENCE_NODE_REPORT_BYTES, LevelKind, aggregate, parse, report_of_size_kb, serialize,
+)
 
 
 class CalibrationUnstableError(Exception):
@@ -152,32 +154,42 @@ def output_time(output_size_kb: float, coeffs: LoadCoefficients) -> float:
 # --- applying the model to a whole hierarchy --------------------------------
 
 
-def level_report_sizes_kb(config: HierarchyConfig, node_size_kb: float) -> tuple[float, ...]:
+def _emission_periods_us(config: HierarchyConfig) -> list[int]:
+    """Mean time between the reports a level emits: the running maximum of the holds."""
+    periods = [config.hold_us[0]]
+    for hold in config.hold_us[1:]:
+        periods.append(max(hold, periods[-1]))
+    return periods
+
+
+def level_report_sizes_kb(config: HierarchyConfig) -> tuple[float, ...]:
     """Steady-state report size per level, indexed 0..depth.
 
-    A level's report carries every child window accumulated during its hold,
-    so size multiplies by fanout and by the hold-period ratio.
+    A node report carries one reference-sized report per service.  A level
+    emits once per period ``p[i] = max(hold[i], p[i-1])``, since a window that
+    caught nothing emits nothing, so its report carries ``fanout[i]`` children
+    times ``p[i] / p[i-1]`` child reports.
     """
-    sizes = [node_size_kb]
+    sizes = [config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024]
+    periods = _emission_periods_us(config)
     for level in range(1, config.depth + 1):
-        ratio = config.hold_us[level] / config.hold_us[level - 1]
+        ratio = periods[level] / periods[level - 1]
         sizes.append(config.fanout[level] * ratio * sizes[level - 1])
     return tuple(sizes)
 
 
-def hierarchy_loads(
-    config: HierarchyConfig, coeffs: LoadCoefficients, node_size_kb: float
-) -> dict[int, MachineLoad]:
+def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> dict[int, MachineLoad]:
     """Per-level machine load, from sensor machines (0) up to the root channel."""
-    sizes = level_report_sizes_kb(config, node_size_kb)
+    sizes = level_report_sizes_kb(config)
+    periods = _emission_periods_us(config)
     loads: dict[int, MachineLoad] = {}
     for level in range(config.depth + 1):
-        out_rate = 1.0 / (config.hold_us[level] / 1e6)
+        out_rate = 1.0 / (periods[level] / 1e6)
         if level == 0:
             spec = WorkloadSpec(inputs=(), output=(out_rate, sizes[0]))
             t_in = 0.0
         else:
-            in_rate = 1.0 / (config.hold_us[level - 1] / 1e6)
+            in_rate = 1.0 / (periods[level - 1] / 1e6)
             spec = WorkloadSpec(
                 inputs=((in_rate, sizes[level - 1]),) * config.fanout[level],
                 output=(out_rate, sizes[level]),
@@ -191,14 +203,12 @@ def hierarchy_loads(
     return loads
 
 
-def hierarchy_timings(
-    config: HierarchyConfig, coeffs: LoadCoefficients, node_size_kb: float
-) -> ChannelTimings:
-    """Channel timings for the analytic bound, derived from the load model."""
-    loads = hierarchy_loads(config, coeffs, node_size_kb)
-    t_in = [loads[level].t_in_s for level in range(1, config.depth + 1)]
-    t_out = [loads[level].t_out_s for level in range(1, config.depth + 1)]
-    return ChannelTimings.from_seconds(t_in, t_out)
+def hierarchy_timings(loads: dict[int, MachineLoad]) -> ChannelTimings:
+    """Channel timings for the analytic bound from a :func:`hierarchy_loads` result."""
+    levels = range(1, len(loads))
+    return ChannelTimings.from_seconds(
+        [loads[level].t_in_s for level in levels], [loads[level].t_out_s for level in levels]
+    )
 
 
 # --- on-host calibration -----------------------------------------------------
@@ -336,7 +346,12 @@ def write_coefficients(path: Path | str, coeffs: LoadCoefficients) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_coefficients(path: Path | str) -> LoadCoefficients:
+def read_key_values(path: Path | str) -> dict[str, str]:
+    """Read a flat ``key=value`` file; blank lines and ``#`` comments are skipped.
+
+    Raises :class:`OSError` when the file cannot be read and :class:`ValueError`
+    naming ``path:lineno`` for a line without ``=``.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -346,6 +361,11 @@ def read_coefficients(path: Path | str) -> LoadCoefficients:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         values[key.strip()] = value.strip()
+    return values
+
+
+def read_coefficients(path: Path | str) -> LoadCoefficients:
+    values = read_key_values(path)
     missing = [k for k in (*_COEFF_KEYS, "calibrated") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")

@@ -35,9 +35,9 @@ from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     LoadCoefficients,
     hierarchy_loads,
+    hierarchy_timings,
 )
 from hiermon.model import (
-    ChannelTimings,
     HierarchyConfig,
     LatencyBound,
     machines_total,
@@ -45,7 +45,7 @@ from hiermon.model import (
     staleness_time,
     validate,
 )
-from hiermon.report import Report, iter_leaves, make_node_report, measure, synthetic_service_report
+from hiermon.report import Report, iter_leaves
 
 
 class NotComparableError(Exception):
@@ -184,25 +184,7 @@ def run(config: SimConfig) -> SimTrace:
         for level in range(depth + 1)
     ]
 
-    # Size the steady-state load from a representative node report.
-    probe_machine = machine_ids[0]
-    probe = make_node_report(
-        probe_machine,
-        [
-            synthetic_service_report(
-                f"{probe_machine}.s{j}",
-                probe_machine,
-                period_s,
-                hierarchy.hold_us[0] // 1000,
-                rng=Random(0),
-            )
-            for j in range(hierarchy.fanout[0])
-        ],
-        hierarchy.hold_us[0] // 1000,
-    )
-    node_size_kb = measure(probe).bytes / 1024
-
-    loads = hierarchy_loads(hierarchy, config.coeffs, node_size_kb)
+    loads = hierarchy_loads(hierarchy, config.coeffs)
     saturated_levels = tuple(
         level for level in range(1, depth + 1) if loads[level].is_saturated
     )
@@ -213,20 +195,12 @@ def run(config: SimConfig) -> SimTrace:
             SaturatedTopologyWarning,
             stacklevel=2,
         )
-    pinned_us = SATURATION_DELAY_HOLDS * hierarchy.hold_us[depth]
-    t_in_us = [0] * (depth + 1)
-    t_out_us = [0] * (depth + 1)
-    for level in range(1, depth + 1):
-        load = loads[level]
-        t_in_us[level] = pinned_us if load.is_saturated else round(load.t_in_s * 1e6)
-        t_out_us[level] = round(load.t_out_s * 1e6)
-
-    model_timings = ChannelTimings.from_seconds(
-        [loads[level].t_in_s for level in range(1, depth + 1)],
-        [loads[level].t_out_s for level in range(1, depth + 1)],
-    )
+    model_timings = hierarchy_timings(loads)
     bound = propagation_time(hierarchy, model_timings, depth)
     stale_bound = staleness_time(hierarchy, model_timings, depth)
+    pinned_us = SATURATION_DELAY_HOLDS * hierarchy.hold_us[depth]
+    t_in_us = [pinned_us if t is None else t for t in model_timings.t_in_us]
+    t_out_us = model_timings.t_out_us
 
     sensors = [
         SensorState(

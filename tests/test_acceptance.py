@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from hiermon.cli import NODE_REPORT_KB, PRESETS, main, max_machines, sweep_preset
+from hiermon.cli import PRESETS, main, max_machines, sweep_preset
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     CostSample,

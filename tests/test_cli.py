@@ -3,11 +3,11 @@
 import csv
 import math
 import statistics
+from random import Random
 
 import pytest
 
 from hiermon.cli import (
-    NODE_REPORT_KB,
     PRESETS,
     UsageError,
     main,
@@ -88,20 +88,37 @@ def test_max_machines_per_preset():
     }
 
 
+def _random_coefficients(rng):
+    """Log-uniform costs; the fixed parse cost keeps every top-level fanout below 2e5."""
+
+    def draw(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    return LoadCoefficients(
+        parse_s_per_kb=draw(1e-5, 1e-2),
+        parse_fixed_s=draw(3e-4, 1e-1),
+        serialize_s_per_kb=draw(1e-6, 5e-3),
+        serialize_fixed_s=draw(1e-5, 5e-2),
+        aggregate_s_per_kb=draw(1e-7, 1e-3),
+        net_latency_s=draw(1e-4, 1e-2),
+    )
+
+
 def test_max_machines_boundary_is_exact():
     """The returned count keeps the root below saturation; one unit more does not."""
-    for preset in PRESETS.values():
-        limit = max_machines(preset, DEFAULT_COEFFICIENTS)
-        unit = preset.machines_per_unit
+    rng = Random(20121)
+    cases = [DEFAULT_COEFFICIENTS] + [_random_coefficients(rng) for _ in range(50)]
+    for coeffs in cases:
+        for preset in PRESETS.values():
+            limit = max_machines(preset, coeffs)
+            unit = preset.machines_per_unit
 
-        def root_u(n):
-            config = preset.config(n)
-            return hierarchy_loads(config, DEFAULT_COEFFICIENTS, NODE_REPORT_KB)[
-                config.depth
-            ].utilization
+            def root_u(n):
+                config = preset.config(n)
+                return hierarchy_loads(config, coeffs)[config.depth].utilization
 
-        assert root_u(limit) < 1.0
-        assert root_u(limit + unit) >= 1.0
+            assert root_u(limit) < 1.0
+            assert root_u(limit + unit) >= 1.0
 
 
 def test_delegation_gain_over_flat_tree():
@@ -279,6 +296,25 @@ def _summary_value(out: str, key: str) -> str:
         if line.startswith(key + ":"):
             return line.split(":", 1)[1].strip()
     raise AssertionError(f"missing {key!r} in output:\n{out}")
+
+
+DEEP_TREE = HierarchyConfig.from_seconds(3, [4, 10, 10, 4], [10.0, 30.0, 30.0, 30.0], 10.0)
+
+
+@pytest.mark.parametrize("tree", ["two-level-50", "deep"])
+def test_analyze_root_row_equals_simulated_bound(capsys, tmp_path, tree):
+    """The planner and the simulator size reports by one rule, so their bounds agree."""
+    if tree == "deep":  # fanout[0] > 1
+        write_config_file(tmp_path / "topo.txt", DEEP_TREE)
+        topology = ["--config", str(tmp_path / "topo.txt")]
+    else:  # one service per machine
+        topology = ["--preset", tree, "--n-total", "4000"]
+    code, out, _ = run_cli(capsys, "analyze", *topology)
+    assert code == 0
+    root_prop = out.strip().splitlines()[-1].split(",")[1]
+    code, out, _ = run_cli(capsys, "--out", str(tmp_path), "simulate", *topology)
+    assert code == 0
+    assert _summary_value(out, "analytic_bound_s") == root_prop
 
 
 def test_simulate_summary_and_files(capsys, tmp_path):

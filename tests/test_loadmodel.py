@@ -171,33 +171,41 @@ THREE_LEVEL = HierarchyConfig.from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 
 class TestHierarchyLoads:
     def test_level_sizes_include_window_multiplicity(self):
         # Each level-1 window collects 3 flushes from each of 10 sensors.
-        assert level_report_sizes_kb(THREE_LEVEL, 0.5) == (0.5, 15.0, 150.0, 600.0)
+        assert level_report_sizes_kb(THREE_LEVEL) == (0.5, 15.0, 150.0, 600.0)
 
     def test_two_level_sizes(self):
         cfg = HierarchyConfig.from_seconds(2, [1, 50, 8], [30, 30, 30], 30)
-        assert level_report_sizes_kb(cfg, 0.5) == (0.5, 25.0, 200.0)
+        assert level_report_sizes_kb(cfg) == (0.5, 25.0, 200.0)
+
+    def test_node_size_counts_services_and_empty_windows_emit_nothing(self):
+        # 4 services x 512 B per node report; holds below 30 s still emit every 30 s.
+        cfg = HierarchyConfig.from_seconds(2, [4, 5, 4], [30, 10, 10], 30)
+        assert level_report_sizes_kb(cfg) == (2.0, 10.0, 40.0)
+        root = hierarchy_loads(cfg, DEFAULT_COEFFICIENTS)[2]
+        expected = 4 / 30 * (0.050 + 0.008 * 10.0) + (0.010 + 0.003 * 40.0) / 30
+        assert root.utilization == pytest.approx(expected, rel=1e-12)
 
     def test_three_level_defaults_stay_unsaturated(self):
-        loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS, 0.5)
+        loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
         assert set(loads) == {0, 1, 2, 3}
         assert all(not load.is_saturated for load in loads.values())
         assert loads[1].utilization == pytest.approx(0.054 + 0.055 / 30, rel=1e-6)
         assert loads[0].t_in_s == 0.0
 
     def test_first_level_inflow_matches_hand_arithmetic(self):
-        loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS, 0.5)
+        loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
         u1 = loads[1].utilization
         expected = 0.005 + (0.050 + 0.008 * 0.5) / (1 - u1)
         assert loads[1].t_in_s == pytest.approx(expected, rel=1e-12)
 
     def test_oversubscribed_single_level_saturates_the_bound(self):
         cfg = HierarchyConfig.from_seconds(1, [1, 1333], [60, 60], 60)
-        timings = hierarchy_timings(cfg, DEFAULT_COEFFICIENTS, 0.5)
+        timings = hierarchy_timings(hierarchy_loads(cfg, DEFAULT_COEFFICIENTS))
         assert timings.t_in_us[1] is None
         assert propagation_time(cfg, timings, 1).is_saturated
 
     def test_timings_cover_every_level(self):
-        timings = hierarchy_timings(THREE_LEVEL, DEFAULT_COEFFICIENTS, 0.5)
+        timings = hierarchy_timings(hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS))
         assert timings.covers(THREE_LEVEL.depth)
         assert all(v is not None and v > 0 for v in timings.t_in_us[1:])
         bound = propagation_time(THREE_LEVEL, timings, 3)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
-from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients
+from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, level_report_sizes_kb
 from hiermon.model import HierarchyConfig
-from hiermon.report import iter_leaves
+from hiermon.report import iter_leaves, measure
 from hiermon.sim import (
     LosslessnessReport,
     NotComparableError,
@@ -140,6 +142,17 @@ class TestAgainstModel:
         by_service = {d.service_id: d for d in trace.deliveries}
         record = by_service["m-0008.s0"]
         assert record.level_path == ("ch-1-002", "ch-2-001", "ch-3-000")
+
+
+    @pytest.mark.parametrize("holds", [(30, 10, 10), (30, 20, 20), (10, 30, 30)])
+    def test_model_root_size_matches_observed_system_reports(self, holds):
+        hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], holds, 10)
+        trace = run(SimConfig.build(hierarchy))
+        observed_kb = statistics.median(
+            measure(report).bytes / 1024 for _, report in trace.system_reports
+        )
+        model_kb = level_report_sizes_kb(hierarchy)[-1]
+        assert model_kb == pytest.approx(observed_kb, rel=0.10)
 
 
 class TestSaturation:

@@ -1,10 +1,14 @@
 """Publisher, aggregator, and forwarder state machines around event channels.
 
-A Sensor collects service reports on one machine and publishes a node report
+A Sensor collects service ticks on one machine and publishes a node window
 every hold window.  An aggregation channel buffers whatever its children
-publish and, once per hold window, its interpreter merges the buffer into a
-single report that the forwarder republishes one level up.  The top-level
-channel emits system reports instead.
+publish and, once per hold window, merges the buffer into a single window
+that the forwarder republishes one level up.  The top-level channel emits
+system windows instead.
+
+Windows carry leaf keys, not report payloads, and list their children in
+the order they were collected; ``hiermon.sim.window_report`` renders one as a
+report tree.
 
 All state here is mutated solely by the simulator's event loop; instances
 must never be shared mutably across threads.
@@ -12,72 +16,62 @@ must never be shared mutably across threads.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from random import Random
+from typing import NamedTuple
 
-from hiermon.report import (
-    LevelKind,
-    LevelMismatchError,
-    Report,
-    ServiceReport,
-    aggregate,
-    make_node_report,
-    report_level,
-    synthetic_service_report,
-)
+from hiermon.report import LevelKind, LevelMismatchError
+
+#: (machine index, service index, emitted µs): one service tick, end to end.
+Leaf = tuple[int, int, int]
 
 
-class EventKind(enum.Enum):
-    APP_SERVICE_TICK = "app-service-tick"
-    SENSOR_FLUSH = "sensor-flush"
-    CHANNEL_ARRIVAL = "channel-arrival"
-    CHANNEL_FLUSH = "channel-flush"
-    FORWARD_DEPARTURE = "forward-departure"
+class Window(NamedTuple):
+    """One hold window's output: leaves at level 0, lower-level windows above."""
+
+    kind: LevelKind
+    level: int
+    source: str
+    generated_at_ms: int
+    children: tuple
 
 
-@dataclass(frozen=True)
-class RoleEvent:
-    kind: EventKind
-    at_us: int
-    payload: Report | None = None
+def window_leaves(window: Window) -> tuple[Leaf, ...] | list[Leaf]:
+    """Every leaf a window transitively contains, in depth-first order."""
+    if window.level == 0:
+        return window.children
+    return [leaf for child in window.children for leaf in window_leaves(child)]
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorState:
-    """Per-machine collector: holds the latest report per service until flush."""
+    """Per-machine collector: holds the latest tick per service until flush."""
 
     machine_id: str
-    app_services: tuple[tuple[str, float], ...]
+    machine: int  # index of the machine, carried in each leaf
+    services: int  # app services registered, as indexes 0..services-1
     hold_us: int
-    pending: dict[str, ServiceReport] = field(default_factory=dict)
+    pending: dict[int, int] = field(default_factory=dict)  # service index -> tick µs
     next_flush_us: int = -1
 
     def __post_init__(self) -> None:
         if self.next_flush_us < 0:
             self.next_flush_us = self.hold_us
-        self._periods = dict(self.app_services)
 
 
-def sensor_on_app_tick(
-    sensor: SensorState, service_id: str, now_us: int, rng: Random | None = None
-) -> SensorState:
-    """Record a fresh reading for one service; an unflushed older one is replaced."""
-    period_s = sensor._periods.get(service_id)
-    if period_s is None:
-        raise ValueError(f"service {service_id!r} is not registered on {sensor.machine_id}")
-    sensor.pending[service_id] = synthetic_service_report(
-        service_id=service_id,
-        source_machine=sensor.machine_id,
-        period_s=period_s,
-        generated_at_ms=now_us // 1000,
-        rng=rng,
-    )
+def sensor_on_app_tick(sensor: SensorState, service: int, now_us: int) -> SensorState:
+    """Record a fresh tick for one service; an unflushed older one is replaced.
+
+    A replaced tick keeps its service's place in the window, so a node window
+    lists services in the order of their first tick since the last flush.
+    """
+    if not 0 <= service < sensor.services:
+        raise ValueError(f"service {service!r} is not registered on {sensor.machine_id}")
+    sensor.pending[service] = now_us
     return sensor
 
 
-def sensor_flush(sensor: SensorState, now_us: int) -> Report | None:
-    """Publish everything collected this window as one node report.
+def sensor_flush(sensor: SensorState, now_us: int) -> Window | None:
+    """Publish everything collected this window as one node window.
 
     An empty window publishes nothing; either way the next flush is scheduled
     one hold period later.
@@ -89,21 +83,20 @@ def sensor_flush(sensor: SensorState, now_us: int) -> Report | None:
     sensor.next_flush_us += sensor.hold_us
     if not sensor.pending:
         return None
-    window = list(sensor.pending.values())
+    leaves = tuple([(sensor.machine, service, at) for service, at in sensor.pending.items()])
     sensor.pending.clear()
-    return make_node_report(sensor.machine_id, window, now_us // 1000)
+    return Window(LevelKind.NODE, 0, sensor.machine_id, now_us // 1000, leaves)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelState:
     """One aggregation channel plus its bound interpreter and forwarder."""
 
     channel_id: str
     level: int
     hold_us: int
-    subscribers: tuple[str, ...] = ()
     top_level: bool = False
-    buffer: list[tuple[Report, int]] = field(default_factory=list)
+    buffer: list[Window] = field(default_factory=list)
     next_flush_us: int = -1
 
     def __post_init__(self) -> None:
@@ -113,11 +106,11 @@ class ChannelState:
             self.next_flush_us = self.hold_us
 
 
-def channel_on_publish(channel: ChannelState, report: Report, now_us: int) -> ChannelState:
-    """Buffer a report published by a lower level."""
-    if report.level_kind is LevelKind.SYSTEM or report_level(report) >= channel.level:
+def channel_on_publish(channel: ChannelState, window: Window, now_us: int) -> ChannelState:
+    """Buffer a window published by a lower level."""
+    if window.kind is LevelKind.SYSTEM or window.level >= channel.level:
         raise LevelMismatchError(
-            f"level-{report_level(report)} {report.level_kind.value} report "
+            f"level-{window.level} {window.kind.value} window "
             f"cannot enter level-{channel.level} channel {channel.channel_id}"
         )
     if now_us >= channel.next_flush_us:
@@ -125,15 +118,16 @@ def channel_on_publish(channel: ChannelState, report: Report, now_us: int) -> Ch
             f"{channel.channel_id}: publish at {now_us}us but flush at "
             f"{channel.next_flush_us}us has not run"
         )
-    channel.buffer.append((report, now_us))
+    channel.buffer.append(window)
     return channel
 
 
-def channel_flush(channel: ChannelState, now_us: int) -> Report | None:
-    """Merge the buffered window into one report for the forwarder.
+def channel_flush(channel: ChannelState, now_us: int) -> Window | None:
+    """Merge the buffered window, in arrival order, into one window for the forwarder.
 
     Arrivals stamped exactly at flush time are not in the buffer (the event
-    loop runs flushes first), so they land in the next window.
+    loop runs flushes first), so they land in the next window.  No source emits
+    two windows with one timestamp (holds are at least 1 ms): nothing to dedup.
     """
     if now_us != channel.next_flush_us:
         raise ValueError(
@@ -143,7 +137,7 @@ def channel_flush(channel: ChannelState, now_us: int) -> Report | None:
     channel.next_flush_us += channel.hold_us
     if not channel.buffer:
         return None
-    window = [report for report, _ in channel.buffer]
-    channel.buffer.clear()
     kind = LevelKind.SYSTEM if channel.top_level else LevelKind.INTERMEDIATE
-    return aggregate(window, kind, channel.channel_id, now_us // 1000)
+    window = Window(kind, channel.level, channel.channel_id, now_us // 1000, tuple(channel.buffer))
+    channel.buffer.clear()
+    return window

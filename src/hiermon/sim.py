@@ -6,30 +6,34 @@ the load model's per-level input/output times, so every observed propagation
 can be compared exactly against the analytic worst-case bound computed from
 the same numbers.
 
-Determinism contract: one `Random(seed)` instance feeds tick phases and
-metric values in a fixed order, so identical configs produce identical
-traces, byte for byte, when exported.
+Determinism contract: one `Random(seed)` instance draws the tick phases
+before the loop starts and nothing else; the loop carries leaf keys, and
+metric payloads exist only at the edge (`window_report`).  Identical configs
+produce identical traces, byte for byte, when exported.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
+import enum
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import prod
 from pathlib import Path
 from random import Random
 
 from hiermon.channel import (
     ChannelState,
-    EventKind,
     SensorState,
+    Leaf,
+    Window,
     channel_flush,
     channel_on_publish,
     sensor_flush,
     sensor_on_app_tick,
+    window_leaves,
 )
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
@@ -45,7 +49,7 @@ from hiermon.model import (
     staleness_time,
     validate,
 )
-from hiermon.report import Report, iter_leaves
+from hiermon.report import LevelKind, Report, synthetic_service_report
 
 
 class NotComparableError(Exception):
@@ -59,13 +63,19 @@ class SaturatedTopologyWarning(UserWarning):
 #: Delay assigned to messages entering a saturated channel: ten top-level holds.
 SATURATION_DELAY_HOLDS = 10
 
-_PRIORITY = {
-    EventKind.CHANNEL_FLUSH: 0,
-    EventKind.SENSOR_FLUSH: 1,
-    EventKind.APP_SERVICE_TICK: 2,
-    EventKind.CHANNEL_ARRIVAL: 3,
-    EventKind.FORWARD_DEPARTURE: 4,
-}
+
+class EventKind(enum.Enum):
+    """What the event loop does next, in the order events at equal times run."""
+
+    CHANNEL_FLUSH = "channel-flush"
+    SENSOR_FLUSH = "sensor-flush"
+    APP_SERVICE_TICK = "app-service-tick"
+    CHANNEL_ARRIVAL = "channel-arrival"
+    FORWARD_DEPARTURE = "forward-departure"
+
+
+_KINDS = tuple(EventKind)
+_CHANNEL_FLUSH, _SENSOR_FLUSH, _TICK, _ARRIVAL, _DEPARTURE = range(len(_KINDS))  # heap keys
 
 _MIN_WINDOW_US = 1_000  # report timestamps are milliseconds; finer windows alias
 
@@ -125,23 +135,11 @@ class SimTrace:
     analytic_bound: LatencyBound
     staleness_bound: LatencyBound
     saturated_levels: tuple[int, ...]
-    system_reports: list[tuple[int, Report]]  # (flush time, report)
+    system_reports: list[Window]  # the root's non-empty windows, in flush order
     root_flush_times_us: list[int]
-    published: dict[tuple[str, int], int]  # (service_id, generated_at_ms) -> emitted us
+    published: list[Leaf]  # every leaf a sensor flushed
     unmatched_leaves: int
     event_counts: Counter
-
-    @property
-    def per_machine_utilization(self) -> dict[str, float]:
-        return {machine_id: u for machine_id, _, u in self.machines}
-
-    @property
-    def max_observed_prop_s(self) -> float:
-        return self.max_observed_prop_us / 1e6
-
-    @property
-    def analytic_bound_s(self) -> float:
-        return self.analytic_bound.seconds
 
 
 @dataclass(frozen=True)
@@ -167,13 +165,16 @@ def _machine_label(index: int, total: int) -> str:
     return f"m-{index + 1:0{width}d}"
 
 
+def _service_label(machine_id: str, service: int) -> str:
+    return f"{machine_id}.s{service}"
+
+
 def run(config: SimConfig) -> SimTrace:
     """Execute one simulation; see the module docstring for the event rules."""
     hierarchy = config.hierarchy
     depth = hierarchy.depth
     n_machines = machines_total(hierarchy)
     period_us = hierarchy.service_period_us
-    period_s = hierarchy.service_period_seconds
     rng = Random(config.seed)
 
     machine_ids = [_machine_label(i, n_machines) for i in range(n_machines)]
@@ -202,16 +203,12 @@ def run(config: SimConfig) -> SimTrace:
     t_in_us = [pinned_us if t is None else t for t in model_timings.t_in_us]
     t_out_us = model_timings.t_out_us
 
+    services = hierarchy.fanout[0]
     sensors = [
-        SensorState(
-            machine_id=mid,
-            app_services=tuple(
-                (f"{mid}.s{j}", period_s) for j in range(hierarchy.fanout[0])
-            ),
-            hold_us=hierarchy.hold_us[0],
-        )
-        for mid in machine_ids
+        SensorState(machine_id=mid, machine=m, services=services, hold_us=hierarchy.hold_us[0])
+        for m, mid in enumerate(machine_ids)
     ]
+    service_ids = [[_service_label(mid, j) for j in range(services)] for mid in machine_ids]
     channels: list[list[ChannelState]] = [[]]  # sensors live at level 0
     for level in range(1, depth + 1):
         channels.append(
@@ -230,93 +227,79 @@ def run(config: SimConfig) -> SimTrace:
         for m in range(n_machines)
     ]
 
-    heap: list[tuple[int, int, int, EventKind, tuple]] = []
+    heap: list[tuple[int, int, int, object]] = []
     seq = 0
 
-    def push(at: int, kind: EventKind, payload: tuple) -> None:
+    def push(at: int, kind: int, payload: object) -> None:
         nonlocal seq
         if at <= config.duration_us:
-            heapq.heappush(heap, (at, _PRIORITY[kind], seq, kind, payload))
+            heappush(heap, (at, kind, seq, payload))
             seq += 1
 
     for m in range(n_machines):
-        for j in range(hierarchy.fanout[0]):
+        for j in range(services):
             phase = round(rng.random() * config.jitter_fraction * period_us)
-            push(phase, EventKind.APP_SERVICE_TICK, (m, j))
-        push(hierarchy.hold_us[0], EventKind.SENSOR_FLUSH, (m,))
+            push(phase, _TICK, (m, j))
+        push(hierarchy.hold_us[0], _SENSOR_FLUSH, m)
     for level in range(1, depth + 1):
         for j in range(len(channels[level])):
-            push(hierarchy.hold_us[level], EventKind.CHANNEL_FLUSH, (level, j))
+            push(hierarchy.hold_us[level], _CHANNEL_FLUSH, (level, j))
 
     deliveries: list[DeliveryRecord] = []
-    published: dict[tuple[str, int], int] = {}
-    pending_delivery: dict[tuple[str, int], int] = {}
-    tick_at: dict[tuple[int, str], int] = {}
-    system_reports: list[tuple[int, Report]] = []
+    published: list[Leaf] = []
+    pending_delivery: set[Leaf] = set()
+    system_reports: list[Window] = []
     root_flush_times: list[int] = []
     unmatched = 0
-    counts: Counter = Counter()
-    machine_index = {mid: m for m, mid in enumerate(machine_ids)}
+    counts: Counter = Counter()  # heap key -> events run
 
     while heap:
-        now, _, _, kind, payload = heapq.heappop(heap)
+        now, kind, _, payload = heappop(heap)
         counts[kind] += 1
 
-        if kind is EventKind.APP_SERVICE_TICK:
+        if kind == _TICK:
             m, j = payload
-            service_id = sensors[m].app_services[j][0]
-            sensor_on_app_tick(sensors[m], service_id, now, rng)
-            tick_at[(m, service_id)] = now
-            push(now + period_us, EventKind.APP_SERVICE_TICK, (m, j))
+            sensor_on_app_tick(sensors[m], j, now)
+            push(now + period_us, _TICK, payload)
 
-        elif kind is EventKind.SENSOR_FLUSH:
-            (m,) = payload
-            out = sensor_flush(sensors[m], now)
-            push(now + hierarchy.hold_us[0], EventKind.SENSOR_FLUSH, (m,))
+        elif kind == _SENSOR_FLUSH:
+            out = sensor_flush(sensors[payload], now)
+            push(now + hierarchy.hold_us[0], _SENSOR_FLUSH, payload)
             if out is not None:
-                for leaf in out.children:
-                    key = (leaf.service_id, leaf.generated_at_ms)
-                    emitted = tick_at[(m, leaf.service_id)]
-                    published[key] = emitted
-                    pending_delivery[key] = emitted
-                parent = m // group[1]
-                push(now + t_in_us[1], EventKind.CHANNEL_ARRIVAL, (1, parent, out))
+                published.extend(out.children)
+                pending_delivery.update(out.children)
+                push(now + t_in_us[1], _ARRIVAL, (1, payload // group[1], out))
 
-        elif kind is EventKind.CHANNEL_FLUSH:
+        elif kind == _CHANNEL_FLUSH:
             level, j = payload
             out = channel_flush(channels[level][j], now)
-            push(now + hierarchy.hold_us[level], EventKind.CHANNEL_FLUSH, (level, j))
+            push(now + hierarchy.hold_us[level], _CHANNEL_FLUSH, payload)
             if level == depth:
                 root_flush_times.append(now)
                 if out is not None:
-                    system_reports.append((now, out))
+                    system_reports.append(out)
             elif out is not None:
-                push(now + t_out_us[level], EventKind.FORWARD_DEPARTURE, (level, j, out))
+                push(now + t_out_us[level], _DEPARTURE, (level, j, out))
 
-        elif kind is EventKind.FORWARD_DEPARTURE:
-            level, j, report = payload
+        elif kind == _DEPARTURE:
+            level, j, window = payload
             parent = j // hierarchy.fanout[level + 1]
-            push(now + t_in_us[level + 1], EventKind.CHANNEL_ARRIVAL, (level + 1, parent, report))
+            push(now + t_in_us[level + 1], _ARRIVAL, (level + 1, parent, window))
 
-        else:  # CHANNEL_ARRIVAL
-            level, j, report = payload
+        else:  # _ARRIVAL
+            level, j, window = payload
             if level == depth:
-                for leaf in iter_leaves(report):
-                    key = (leaf.service_id, leaf.generated_at_ms)
-                    emitted = pending_delivery.pop(key, None)
-                    if emitted is None:
+                for leaf in window_leaves(window):
+                    try:
+                        pending_delivery.remove(leaf)
+                    except KeyError:
                         unmatched += 1
                         continue
-                    deliveries.append(
-                        DeliveryRecord(
-                            service_id=leaf.service_id,
-                            emitted_at_us=emitted,
-                            arrived_root_at_us=now,
-                            propagation_us=now - emitted,
-                            level_path=level_paths[machine_index[leaf.source_machine]],
-                        )
-                    )
-            channel_on_publish(channels[level][j], report, now)
+                    m, s, emitted = leaf
+                    deliveries.append(DeliveryRecord(
+                        service_ids[m][s], emitted, now, now - emitted, level_paths[m]
+                    ))
+            channel_on_publish(channels[level][j], window, now)
 
     machines: list[tuple[str, int, float]] = [
         (mid, 0, loads[0].utilization) for mid in machine_ids
@@ -338,7 +321,7 @@ def run(config: SimConfig) -> SimTrace:
         root_flush_times_us=root_flush_times,
         published=published,
         unmatched_leaves=unmatched,
-        event_counts=counts,
+        event_counts=Counter({_KINDS[kind]: n for kind, n in counts.items()}),
     )
 
 
@@ -366,15 +349,13 @@ def check_staleness(trace: SimTrace) -> bool:
 def check_losslessness(trace: SimTrace) -> LosslessnessReport:
     """Published-vs-root-leaf multiset comparison over the covered window.
 
-    A published service report is covered when a finite propagation bound plus
-    one root hold still fits before the end of the run; covered reports must
-    appear exactly once across all system reports, everything at most once.
+    A published leaf is covered when a finite propagation bound plus one root
+    hold still fits before the end of the run; covered leaves must appear
+    exactly once across all system windows, everything at most once.
     """
     counted: Counter = Counter()
-    for _, report in trace.system_reports:
-        counted.update(
-            (leaf.service_id, leaf.generated_at_ms) for leaf in iter_leaves(report)
-        )
+    for window in trace.system_reports:
+        counted.update(window_leaves(window))
     duplicated = sum(1 for c in counted.values() if c > 1)
     if trace.analytic_bound.is_saturated:
         return LosslessnessReport(len(trace.published), 0, 0, duplicated)
@@ -383,9 +364,32 @@ def check_losslessness(trace: SimTrace) -> LosslessnessReport:
         - trace.analytic_bound.micros
         - trace.config.hierarchy.hold_us[trace.config.hierarchy.depth]
     )
-    covered = [key for key, emitted in trace.published.items() if emitted <= horizon]
-    missing = sum(1 for key in covered if counted[key] == 0)
+    covered = [leaf for leaf in trace.published if leaf[2] <= horizon]
+    missing = sum(1 for leaf in covered if counted[leaf] == 0)
     return LosslessnessReport(len(trace.published), len(covered), missing, duplicated)
+
+
+def window_report(window: Window, service_period_s: float) -> Report:
+    """Render a simulated window as a report tree with synthetic metric payloads.
+
+    Payloads come from a generator private to this call and seeded alike every
+    time, so a window always renders to the same report and the run's own
+    random stream is never read.
+    """
+    rng = Random(0)
+
+    def render(w: Window) -> Report:
+        if w.kind is not LevelKind.NODE:
+            return Report(w.kind, w.source, w.generated_at_ms, tuple(map(render, w.children)))
+        services = tuple(
+            synthetic_service_report(
+                _service_label(w.source, s), w.source, service_period_s, at // 1000, rng
+            )
+            for _, s, at in w.children
+        )
+        return Report(w.kind, w.source, w.generated_at_ms, services)
+
+    return render(window)
 
 
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:

@@ -9,26 +9,23 @@ from hypothesis import strategies as st
 from hiermon.channel import (
     ChannelState,
     SensorState,
+    Window,
     channel_flush,
     channel_on_publish,
     sensor_flush,
     sensor_on_app_tick,
+    window_leaves,
 )
-from hiermon.report import (
-    LevelKind,
-    LevelMismatchError,
-    aggregate,
-    default_node_report,
-    leaf_count,
-)
+from hiermon.report import LevelKind, LevelMismatchError
 
 SECOND = 1_000_000
 
 
-def fresh_sensor(services=2, hold_s=10):
+def fresh_sensor(services=2, hold_s=10, machine=0):
     return SensorState(
-        machine_id="m-0001",
-        app_services=tuple((f"svc-{i:02d}", float(hold_s)) for i in range(services)),
+        machine_id=f"m-{machine + 1:04d}",
+        machine=machine,
+        services=services,
         hold_us=hold_s * SECOND,
     )
 
@@ -39,33 +36,56 @@ def fresh_channel(level=1, hold_s=30, top=False):
     )
 
 
+def node_window(machine=0, emitted_us=0):
+    """One machine's node window holding a single service tick."""
+    sensor = fresh_sensor(services=1, hold_s=1, machine=machine)
+    sensor.next_flush_us = emitted_us + 1
+    sensor_on_app_tick(sensor, 0, emitted_us)
+    return sensor_flush(sensor, emitted_us + 1)
+
+
+def flushed(channel, *windows):
+    """Publish windows into a channel and flush it at its first scheduled time."""
+    for window in windows:
+        channel_on_publish(channel, window, now_us=0)
+    return channel_flush(channel, channel.next_flush_us)
+
+
 class TestSensor:
     def test_first_tick_registers_one_pending_report(self):
         sensor = fresh_sensor()
-        sensor_on_app_tick(sensor, "svc-00", now_us=1 * SECOND)
-        assert set(sensor.pending) == {"svc-00"}
-        assert sensor.pending["svc-00"].generated_at_ms == 1000
+        sensor_on_app_tick(sensor, 0, now_us=1 * SECOND)
+        assert sensor.pending == {0: 1 * SECOND}
 
     def test_second_tick_replaces_the_first(self):
         sensor = fresh_sensor()
-        sensor_on_app_tick(sensor, "svc-00", now_us=1 * SECOND)
-        sensor_on_app_tick(sensor, "svc-00", now_us=4 * SECOND)
-        assert sensor.pending["svc-00"].generated_at_ms == 4000
+        sensor_on_app_tick(sensor, 0, now_us=1 * SECOND)
+        sensor_on_app_tick(sensor, 0, now_us=4 * SECOND)
+        assert sensor.pending == {0: 4 * SECOND}
+
+    def test_freshest_tick_wins_and_keeps_first_tick_order(self):
+        sensor = fresh_sensor(services=2, machine=6)
+        sensor_on_app_tick(sensor, 1, now_us=1 * SECOND)
+        sensor_on_app_tick(sensor, 0, now_us=2 * SECOND)
+        sensor_on_app_tick(sensor, 1, now_us=3 * SECOND)
+        window = sensor_flush(sensor, now_us=10 * SECOND)
+        assert window.children == ((6, 1, 3 * SECOND), (6, 0, 2 * SECOND))
 
     def test_unknown_service_rejected(self):
-        with pytest.raises(ValueError, match="not registered"):
-            sensor_on_app_tick(fresh_sensor(), "svc-99", now_us=0)
+        for service in (2, 99, -1):
+            with pytest.raises(ValueError, match="not registered"):
+                sensor_on_app_tick(fresh_sensor(services=2), service, now_us=0)
 
     def test_flush_emits_node_report_and_clears(self):
-        sensor = fresh_sensor(services=10)
+        sensor = fresh_sensor(services=10, machine=3)
         for i in range(10):
-            sensor_on_app_tick(sensor, f"svc-{i:02d}", now_us=i * SECOND)
-        report = sensor_flush(sensor, now_us=10 * SECOND)
-        assert report is not None
-        assert report.level_kind is LevelKind.NODE
-        assert leaf_count(report) == 10
-        assert report.source == "m-0001"
-        assert report.generated_at_ms == 10_000
+            sensor_on_app_tick(sensor, i, now_us=i * SECOND)
+        window = sensor_flush(sensor, now_us=10 * SECOND)
+        assert window is not None
+        assert window.kind is LevelKind.NODE and window.level == 0
+        assert window_leaves(window) == tuple((3, i, i * SECOND) for i in range(10))
+        assert window.source == "m-0004"
+        assert window.generated_at_ms == 10_000
         assert sensor.pending == {}
 
     def test_empty_window_emits_nothing(self):
@@ -74,7 +94,7 @@ class TestSensor:
 
     def test_flush_right_after_flush_emits_nothing(self):
         sensor = fresh_sensor()
-        sensor_on_app_tick(sensor, "svc-00", now_us=SECOND)
+        sensor_on_app_tick(sensor, 0, now_us=SECOND)
         assert sensor_flush(sensor, now_us=10 * SECOND) is not None
         assert sensor_flush(sensor, now_us=20 * SECOND) is None
 
@@ -90,22 +110,22 @@ class TestSensor:
 class TestChannelPublish:
     def test_node_report_buffered(self):
         channel = fresh_channel(level=1)
-        channel_on_publish(channel, default_node_report(), now_us=SECOND)
+        channel_on_publish(channel, node_window(), now_us=SECOND)
         assert len(channel.buffer) == 1
 
     def test_fifty_publishes_buffered(self):
         channel = fresh_channel(level=1)
         for i in range(50):
-            channel_on_publish(channel, default_node_report(f"m-{i:04d}"), now_us=i)
+            channel_on_publish(channel, node_window(i), now_us=i)
         assert len(channel.buffer) == 50
 
     def test_system_report_rejected(self):
-        system = aggregate([default_node_report()], LevelKind.SYSTEM, "root", 0)
+        system = flushed(fresh_channel(level=1, top=True), node_window())
         with pytest.raises(LevelMismatchError):
-            channel_on_publish(fresh_channel(level=1), system, now_us=0)
+            channel_on_publish(fresh_channel(level=2), system, now_us=0)
 
     def test_report_at_or_above_channel_level_rejected(self):
-        intermediate = aggregate([default_node_report()], LevelKind.INTERMEDIATE, "ch", 0)
+        intermediate = flushed(fresh_channel(level=1), node_window())
         with pytest.raises(LevelMismatchError):
             channel_on_publish(fresh_channel(level=1), intermediate, now_us=0)
         # but it fits one level up
@@ -114,19 +134,29 @@ class TestChannelPublish:
     def test_publish_after_missed_flush_is_a_bug(self):
         channel = fresh_channel(level=1, hold_s=30)
         with pytest.raises(RuntimeError, match="has not run"):
-            channel_on_publish(channel, default_node_report(), now_us=30 * SECOND)
+            channel_on_publish(channel, node_window(), now_us=30 * SECOND)
 
 
 class TestChannelFlush:
     def test_window_merges_to_single_intermediate(self):
         channel = fresh_channel(level=1)
         for i in range(3):
-            channel_on_publish(channel, default_node_report(f"m-{i:04d}"), now_us=i)
+            channel_on_publish(channel, node_window(i), now_us=i)
         out = channel_flush(channel, now_us=30 * SECOND)
         assert out is not None
-        assert out.level_kind is LevelKind.INTERMEDIATE
-        assert leaf_count(out) == 3
+        assert out.kind is LevelKind.INTERMEDIATE and out.level == 1
+        assert len(window_leaves(out)) == 3
         assert channel.buffer == []
+
+    def test_children_keep_arrival_order(self):
+        out = flushed(fresh_channel(level=1), node_window(2), node_window(0), node_window(1))
+        assert [child.source for child in out.children] == ["m-0003", "m-0001", "m-0002"]
+
+    def test_leaves_come_out_depth_first(self):
+        inner_a = flushed(fresh_channel(level=1), node_window(4), node_window(2))
+        inner_b = flushed(fresh_channel(level=1), node_window(7))
+        root = flushed(fresh_channel(level=2, top=True), inner_a, inner_b)
+        assert [machine for machine, _, _ in window_leaves(root)] == [4, 2, 7]
 
     def test_empty_window_still_advances_schedule(self):
         channel = fresh_channel(level=1, hold_s=30)
@@ -134,11 +164,9 @@ class TestChannelFlush:
         assert channel.next_flush_us == 60 * SECOND
 
     def test_top_level_emits_system_kind(self):
-        channel = fresh_channel(level=2, top=True)
-        inner = aggregate([default_node_report()], LevelKind.INTERMEDIATE, "ch-1-01", 0)
-        channel_on_publish(channel, inner, now_us=0)
-        out = channel_flush(channel, now_us=30 * SECOND)
-        assert out is not None and out.level_kind is LevelKind.SYSTEM
+        inner = flushed(fresh_channel(level=1), node_window())
+        out = flushed(fresh_channel(level=2, top=True), inner)
+        assert out is not None and out.kind is LevelKind.SYSTEM and out.level == 2
 
     def test_flush_at_wrong_time_rejected(self):
         channel = fresh_channel(level=1, hold_s=30)
@@ -147,7 +175,7 @@ class TestChannelFlush:
 
     def test_source_and_timestamp_stamped(self):
         channel = fresh_channel(level=1)
-        channel_on_publish(channel, default_node_report(), now_us=5)
+        channel_on_publish(channel, node_window(), now_us=5)
         out = channel_flush(channel, now_us=30 * SECOND)
         assert out.source == "ch-1-01"
         assert out.generated_at_ms == 30_000
@@ -163,32 +191,32 @@ class TestWindowPartition:
         """Drive one channel through 4 windows by hand and partition-check."""
         hold = 30 * SECOND
         channel = fresh_channel(level=1, hold_s=30)
-        reports = {
-            t: default_node_report(f"m-{i:04d}", generated_at_ms=i)
+        windows = {
+            t: node_window(i, emitted_us=i * 1000)
             for i, t in enumerate(sorted(set(arrival_times)))
         }
-        flushed: list = []
+        flushed_children: list[Window] = []
         clock_events = sorted(
-            [(t, 1, t) for t in reports]
+            [(t, 1, t) for t in windows]
             + [(k * hold, 0, None) for k in range(1, 5)]
         )
         for at, _, key in clock_events:
             if key is None:
                 out = channel_flush(channel, at)
                 if out is not None:
-                    flushed.extend(out.children)
+                    flushed_children.extend(out.children)
             else:
-                channel_on_publish(channel, reports[key], at)
+                channel_on_publish(channel, windows[key], at)
         # Arrivals at exactly 120s stay buffered for the 5th window.
-        leftover = [r for r, _ in channel.buffer]
+        leftover = list(channel.buffer)
         assert sorted(
-            r.generated_at_ms for r in flushed + leftover
-        ) == sorted(r.generated_at_ms for r in reports.values())
+            w.generated_at_ms for w in flushed_children + leftover
+        ) == sorted(w.generated_at_ms for w in windows.values())
 
     def test_boundary_arrival_goes_to_next_window(self):
         hold = 30 * SECOND
         channel = fresh_channel(level=1, hold_s=30)
         assert channel_flush(channel, hold) is None
-        channel_on_publish(channel, default_node_report(), now_us=hold)
+        channel_on_publish(channel, node_window(), now_us=hold)
         out = channel_flush(channel, 2 * hold)
-        assert out is not None and leaf_count(out) == 1
+        assert out is not None and len(window_leaves(out)) == 1

@@ -24,6 +24,7 @@ from hiermon.loadmodel import (
     write_coefficients,
 )
 from hiermon.model import HierarchyConfig, machines_total
+from hiermon.sim import SimConfig, run
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +333,8 @@ def test_simulate_summary_and_files(capsys, tmp_path):
     )
     assert code == 0
     assert _summary_value(out, "machines") == "20"
+    trace = run(SimConfig.build(PRESETS["single-level"].config(20), seed=3))
+    assert _summary_value(out, "events") == str(sum(trace.event_counts.values()))
     assert _summary_value(out, "bound_respected") == "true"
     assert _summary_value(out, "losslessness").startswith("ok")
     tightness = float(_summary_value(out, "tightness"))

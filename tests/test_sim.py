@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import statistics
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hiermon import channel, report, sim
+from hiermon.channel import window_leaves
 from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, level_report_sizes_kb
 from hiermon.model import HierarchyConfig
-from hiermon.report import iter_leaves, measure
+from hiermon.report import iter_leaves, measure, parse, serialize
 from hiermon.sim import (
     LosslessnessReport,
     NotComparableError,
@@ -18,6 +23,7 @@ from hiermon.sim import (
     check_staleness,
     run,
     verify_against_model,
+    window_report,
     write_machines_csv,
     write_trace_csv,
 )
@@ -103,6 +109,37 @@ class TestDeterminism:
         assert a.deliveries != b.deliveries
 
 
+#: sha256 of trace.csv and machines.csv for fixed seeds, recorded when the
+#: event loop still passed report objects; any change to delivery order,
+#: timing or labels shows up here.
+PINNED_OUTPUTS = {
+    "jittered": (
+        HierarchyConfig.from_seconds(2, [3, 4, 3], [3, 5, 5], 1),
+        11,
+        0.9,
+        "5dcc1f8d5a0f01cad6ac24fa011031dc7f193274388ea083d126ce3fc3f4980b",
+        "3f064f757e507c8ff3573ceace1c85409476c782431742bfe0d0854befef59e4",
+    ),
+    "depth-3": (
+        HierarchyConfig.from_seconds(3, [2, 3, 2, 2], [2, 6, 6, 6], 2),
+        7,
+        0.5,
+        "e3d774dbeb849e12d2857424a04b2aafc93fab79c2e10ca9d63e37d23760a5fe",
+        "90ddfb4d82cf04a64f37519116dcca1bf755cbc1db94aadb5f43f2bc1e7f3af8",
+    ),
+}
+
+
+@pytest.mark.parametrize("tree", sorted(PINNED_OUTPUTS))
+def test_fixed_seed_outputs_are_pinned(tmp_path, tree):
+    hierarchy, seed, jitter, trace_sha, machines_sha = PINNED_OUTPUTS[tree]
+    trace = run(SimConfig.build(hierarchy, seed=seed, jitter_fraction=jitter))
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    write_machines_csv(tmp_path / "machines.csv", trace)
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+    assert hashlib.sha256((tmp_path / "machines.csv").read_bytes()).hexdigest() == machines_sha
+
+
 class TestAgainstModel:
     def test_small_three_level_respects_bound_and_loses_nothing(self):
         trace = run(small_three_level())
@@ -116,11 +153,7 @@ class TestAgainstModel:
 
     def test_root_leaves_match_published_multiset_exactly(self):
         trace = run(small_three_level())
-        seen = sorted(
-            (leaf.service_id, leaf.generated_at_ms)
-            for _, report in trace.system_reports
-            for leaf in iter_leaves(report)
-        )
+        seen = [leaf for window in trace.system_reports for leaf in window_leaves(window)]
         assert len(seen) == len(set(seen))
         assert set(seen) <= set(trace.published)
 
@@ -148,11 +181,66 @@ class TestAgainstModel:
     def test_model_root_size_matches_observed_system_reports(self, holds):
         hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], holds, 10)
         trace = run(SimConfig.build(hierarchy))
+        period_s = hierarchy.service_period_seconds
         observed_kb = statistics.median(
-            measure(report).bytes / 1024 for _, report in trace.system_reports
+            measure(window_report(window, period_s)).bytes / 1024
+            for window in trace.system_reports
         )
         model_kb = level_report_sizes_kb(hierarchy)[-1]
         assert model_kb == pytest.approx(observed_kb, rel=0.10)
+
+
+@st.composite
+def random_small_trees(draw):
+    """Depth 1-3, several services per machine, holds in any order, jitter < 0.9."""
+    depth = draw(st.integers(1, 3))
+    fanout = [draw(st.integers(2, 3))] + [draw(st.integers(1, 3)) for _ in range(depth)]
+    holds = [draw(st.integers(1, 6)) for _ in range(depth + 1)]
+    period = draw(st.integers(1, 4))
+    hierarchy = HierarchyConfig.from_seconds(depth, fanout, holds, period)
+    return SimConfig.build(
+        hierarchy,
+        seed=draw(st.integers(0, 2**31)),
+        jitter_fraction=draw(st.floats(0.0, 0.9)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_small_trees())
+def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
+    trace = run(config)
+    assume(not trace.analytic_bound.is_saturated)
+    assert verify_against_model(trace).bound_respected
+    assert check_losslessness(trace).ok
+    assert trace.unmatched_leaves == 0
+    assert check_staleness(trace)
+
+
+class TestEdgeReports:
+    def test_root_windows_render_to_round_tripping_reports(self):
+        trace = run(small_three_level(seed=3, jitter_fraction=0.5))
+        period_s = trace.config.hierarchy.service_period_seconds
+        for window in trace.system_reports:
+            rendered = window_report(window, period_s)
+            assert rendered.level_kind is report.LevelKind.SYSTEM
+            assert serialize(window_report(window, period_s)) == serialize(rendered)
+            assert parse(serialize(rendered)) == rendered
+            assert [(leaf.service_id, leaf.generated_at_ms) for leaf in iter_leaves(rendered)] == [
+                (f"m-{m + 1:04d}.s{service}", emitted // 1000)
+                for m, service, emitted in window_leaves(window)
+            ]
+
+    def test_run_builds_no_reports(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the event loop must not build reports")
+
+        for module in (report, channel, sim):
+            for name in ("synthetic_service_report", "make_node_report", "aggregate"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        trace = run(small_three_level(seed=4, jitter_fraction=0.5))
+        assert trace.deliveries
+        assert check_losslessness(trace).ok
 
 
 class TestSaturation:

@@ -84,19 +84,22 @@ DEFAULT_COEFFICIENTS = LoadCoefficients(
 class WorkloadSpec:
     """Steady-state message flow through one machine.
 
-    ``inputs`` lists (rate_hz, size_kb) per feeder; ``output`` is the
-    (rate_hz, size_kb) of the report the machine itself emits.
+    ``inputs`` lists (rate_hz, size_kb, count) per flow, ``count`` being the
+    number of feeders sending it; ``output`` is the (rate_hz, size_kb) of the
+    report the machine itself emits.
     """
 
-    inputs: tuple[tuple[float, float], ...]
+    inputs: tuple[tuple[float, float, int], ...]
     output: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for rate, size in (*self.inputs, self.output):
+        for rate, size, *_ in (*self.inputs, self.output):
             if rate <= 0:
                 raise ValueError("rates must be > 0")
             if size <= 0:
                 raise ValueError("sizes must be > 0")
+        if any(count < 1 for _, _, count in self.inputs):
+            raise ValueError("counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,12 @@ class MachineLoad:
     t_in_s: float
     t_out_s: float
 
-    @property
-    def is_saturated(self) -> bool:
-        return math.isinf(self.t_in_s)
-
 
 def utilization(spec: WorkloadSpec, coeffs: LoadCoefficients) -> float:
     """Fraction of one CPU consumed by parsing inputs and emitting the output."""
     u = sum(
-        rate * (coeffs.parse_fixed_s + coeffs.parse_s_per_kb * size)
-        for rate, size in spec.inputs
+        count * rate * (coeffs.parse_fixed_s + coeffs.parse_s_per_kb * size)
+        for rate, size, count in spec.inputs
     )
     out_rate, out_size = spec.output
     u += out_rate * (
@@ -135,7 +134,7 @@ def input_time(spec: WorkloadSpec, coeffs: LoadCoefficients) -> float:
     u = utilization(spec, coeffs)
     if u >= 1.0:
         return math.inf
-    probe_kb = max(size for _, size in spec.inputs)
+    probe_kb = max(size for _, size, _ in spec.inputs)
     service = coeffs.parse_fixed_s + coeffs.parse_s_per_kb * probe_kb
     return coeffs.net_latency_s + service / (1.0 - u)
 
@@ -191,7 +190,7 @@ def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> dict[i
         else:
             in_rate = 1.0 / (periods[level - 1] / 1e6)
             spec = WorkloadSpec(
-                inputs=((in_rate, sizes[level - 1]),) * config.fanout[level],
+                inputs=((in_rate, sizes[level - 1], config.fanout[level]),),
                 output=(out_rate, sizes[level]),
             )
             t_in = input_time(spec, coeffs)

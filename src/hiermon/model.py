@@ -156,11 +156,11 @@ def machines_total(config: HierarchyConfig) -> int:
 class ChannelTimings:
     """Measured or modeled per-level delivery delays.
 
-    Tuples are indexed by level; slot 0 is padding so ``t_in_us[i]`` is the
-    inflow delay of level i.  A ``None`` inflow marks a saturated level.
+    Tuples are indexed by level; slot 0 is padding so ``t_in[i]`` is the
+    inflow delay of level i, :data:`SATURATED` for a saturated level.
     """
 
-    t_in_us: tuple[int | None, ...]
+    t_in: tuple[LatencyBound, ...]
     t_out_us: tuple[int, ...]
 
     @classmethod
@@ -168,18 +168,13 @@ class ChannelTimings:
         cls, t_in_s: Iterable[float], t_out_s: Iterable[float]
     ) -> "ChannelTimings":
         """Build from per-level sequences covering levels 1..depth; inf saturates."""
-        t_in: list[int | None] = [0]
-        for v in t_in_s:
-            t_in.append(None if math.isinf(v) else seconds_to_micros(v))
-        t_out = [0] + [seconds_to_micros(v) for v in t_out_s]
-        return cls(tuple(t_in), tuple(t_out))
+        t_in = (LatencyBound(0), *map(LatencyBound.of_seconds, t_in_s))
+        t_out = (0, *map(seconds_to_micros, t_out_s))
+        return cls(t_in, t_out)
 
     @classmethod
     def zero(cls, depth: int) -> "ChannelTimings":
-        return cls((0,) * (depth + 1), (0,) * (depth + 1))
-
-    def covers(self, depth: int) -> bool:
-        return len(self.t_in_us) >= depth + 1 and len(self.t_out_us) >= depth + 1
+        return cls((LatencyBound(0),) * (depth + 1), (0,) * (depth + 1))
 
 
 def _check_level(config: HierarchyConfig, level: int) -> None:
@@ -195,9 +190,7 @@ def propagation_time_recursive(
     if level == 0:
         return LatencyBound(config.hold_us[0])
     previous = propagation_time_recursive(config, timings, level - 1)
-    t_in = timings.t_in_us[level]
-    if t_in is None:
-        return SATURATED
+    t_in = timings.t_in[level]
     if level == 1:
         return previous + t_in
     return previous + config.hold_us[level - 1] + timings.t_out_us[level - 1] + t_in
@@ -214,15 +207,8 @@ def propagation_time(
     _check_level(config, level)
     if level == 0:
         return LatencyBound(config.hold_us[0])
-    inflows = timings.t_in_us[1 : level + 1]
-    if any(v is None for v in inflows):
-        return SATURATED
-    total = (
-        sum(config.hold_us[0:level])
-        + sum(timings.t_out_us[1:level])
-        + sum(v for v in inflows if v is not None)
-    )
-    return LatencyBound(total)
+    fixed = sum(config.hold_us[0:level]) + sum(timings.t_out_us[1:level])
+    return sum(timings.t_in[1 : level + 1], LatencyBound(fixed))
 
 
 def staleness_time(

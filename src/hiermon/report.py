@@ -122,10 +122,6 @@ def iter_leaves(report: Report) -> Iterator[ServiceReport]:
             yield from iter_leaves(child)
 
 
-def leaf_count(report: Report) -> int:
-    return sum(1 for _ in iter_leaves(report))
-
-
 def make_node_report(
     source: str, service_reports: Sequence[ServiceReport], now: int
 ) -> Report:

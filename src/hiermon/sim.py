@@ -4,7 +4,8 @@ The event loop drives app-service ticks, sensor flushes, channel flushes,
 and message deliveries on an integer-microsecond clock.  Delivery delays are
 the load model's per-level input/output times, so every observed propagation
 can be compared exactly against the analytic worst-case bound computed from
-the same numbers.
+the same numbers.  A tree with a saturated level has no finite delays to
+replay, so `run` refuses it before building any per-machine state.
 
 Determinism contract: one `Random(seed)` instance draws the tick phases
 before the loop starts and nothing else; the loop carries leaf keys, and
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -50,18 +50,6 @@ from hiermon.model import (
     validate,
 )
 from hiermon.report import LevelKind, Report, synthetic_service_report
-
-
-class NotComparableError(Exception):
-    """The analytic bound is saturated, so tightness has no meaning."""
-
-
-class SaturatedTopologyWarning(UserWarning):
-    """Some channel's modeled utilization reached 1; delays are pinned, not real."""
-
-
-#: Delay assigned to messages entering a saturated channel: ten top-level holds.
-SATURATION_DELAY_HOLDS = 10
 
 
 class EventKind(enum.Enum):
@@ -134,7 +122,6 @@ class SimTrace:
     max_observed_prop_us: int
     analytic_bound: LatencyBound
     staleness_bound: LatencyBound
-    saturated_levels: tuple[int, ...]
     system_reports: list[Window]  # the root's non-empty windows, in flush order
     root_flush_times_us: list[int]
     published: list[Leaf]  # every leaf a sensor flushed
@@ -170,9 +157,26 @@ def _service_label(machine_id: str, service: int) -> str:
 
 
 def run(config: SimConfig) -> SimTrace:
-    """Execute one simulation; see the module docstring for the event rules."""
+    """Execute one simulation; see the module docstring for the event rules.
+
+    Raises :class:`ValueError` naming the saturated levels when the load
+    model puts any channel level at utilization 1 or above.
+    """
     hierarchy = config.hierarchy
     depth = hierarchy.depth
+    loads = hierarchy_loads(hierarchy, config.coeffs)
+    model_timings = hierarchy_timings(loads)
+    saturated = [lv for lv in range(1, depth + 1) if model_timings.t_in[lv].is_saturated]
+    if saturated:
+        raise ValueError(
+            f"saturated channel levels: {', '.join(map(str, saturated))} "
+            "(utilization >= 1); the simulator needs finite delays at every level"
+        )
+    bound = propagation_time(hierarchy, model_timings, depth)
+    stale_bound = staleness_time(hierarchy, model_timings, depth)
+    t_in_us = [t.micros for t in model_timings.t_in]
+    t_out_us = model_timings.t_out_us
+
     n_machines = machines_total(hierarchy)
     period_us = hierarchy.service_period_us
     rng = Random(config.seed)
@@ -184,24 +188,6 @@ def run(config: SimConfig) -> SimTrace:
         [f"ch-{level}-{j:03d}" for j in range(n_machines // group[level])]
         for level in range(depth + 1)
     ]
-
-    loads = hierarchy_loads(hierarchy, config.coeffs)
-    saturated_levels = tuple(
-        level for level in range(1, depth + 1) if loads[level].is_saturated
-    )
-    if saturated_levels:
-        warnings.warn(
-            f"channel levels {saturated_levels} are saturated; "
-            f"messages are pinned to {SATURATION_DELAY_HOLDS} top-level holds",
-            SaturatedTopologyWarning,
-            stacklevel=2,
-        )
-    model_timings = hierarchy_timings(loads)
-    bound = propagation_time(hierarchy, model_timings, depth)
-    stale_bound = staleness_time(hierarchy, model_timings, depth)
-    pinned_us = SATURATION_DELAY_HOLDS * hierarchy.hold_us[depth]
-    t_in_us = [pinned_us if t is None else t for t in model_timings.t_in_us]
-    t_out_us = model_timings.t_out_us
 
     services = hierarchy.fanout[0]
     sensors = [
@@ -316,7 +302,6 @@ def run(config: SimConfig) -> SimTrace:
         max_observed_prop_us=max((d.propagation_us for d in deliveries), default=0),
         analytic_bound=bound,
         staleness_bound=stale_bound,
-        saturated_levels=saturated_levels,
         system_reports=system_reports,
         root_flush_times_us=root_flush_times,
         published=published,
@@ -327,10 +312,7 @@ def run(config: SimConfig) -> SimTrace:
 
 def verify_against_model(trace: SimTrace) -> ModelCheck:
     """Compare the worst observed propagation against the analytic bound."""
-    if trace.analytic_bound.is_saturated:
-        raise NotComparableError("analytic bound is saturated")
     bound_us = trace.analytic_bound.micros
-    assert bound_us is not None
     return ModelCheck(
         bound_respected=trace.max_observed_prop_us <= bound_us,
         tightness=trace.max_observed_prop_us / bound_us,
@@ -339,8 +321,6 @@ def verify_against_model(trace: SimTrace) -> ModelCheck:
 
 def check_staleness(trace: SimTrace) -> bool:
     """Every delivered leaf's age on root arrival stays within the staleness bound."""
-    if trace.staleness_bound.is_saturated:
-        return True
     limit = trace.staleness_bound.micros
     period = trace.config.hierarchy.service_period_us
     return all(d.propagation_us + period <= limit for d in trace.deliveries)
@@ -349,16 +329,14 @@ def check_staleness(trace: SimTrace) -> bool:
 def check_losslessness(trace: SimTrace) -> LosslessnessReport:
     """Published-vs-root-leaf multiset comparison over the covered window.
 
-    A published leaf is covered when a finite propagation bound plus one root
-    hold still fits before the end of the run; covered leaves must appear
-    exactly once across all system windows, everything at most once.
+    A published leaf is covered when the propagation bound plus one root hold
+    still fits before the end of the run; covered leaves must appear exactly
+    once across all system windows, everything at most once.
     """
     counted: Counter = Counter()
     for window in trace.system_reports:
         counted.update(window_leaves(window))
     duplicated = sum(1 for c in counted.values() if c > 1)
-    if trace.analytic_bound.is_saturated:
-        return LosslessnessReport(len(trace.published), 0, 0, duplicated)
     horizon = (
         trace.config.duration_us
         - trace.analytic_bound.micros
@@ -396,8 +374,10 @@ def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["service_id", "emitted_at_us", "arrived_root_at_us", "propagation_us"])
-        for d in trace.deliveries:
-            writer.writerow([d.service_id, d.emitted_at_us, d.arrived_root_at_us, d.propagation_us])
+        writer.writerows(
+            (d.service_id, d.emitted_at_us, d.arrived_root_at_us, d.propagation_us)
+            for d in trace.deliveries
+        )
 
 
 def write_machines_csv(path: Path | str, trace: SimTrace) -> None:

@@ -22,8 +22,10 @@ from hiermon.loadmodel import (
     measure_costs,
 )
 from hiermon.model import (
+    SATURATED,
     ChannelTimings,
     HierarchyConfig,
+    LatencyBound,
     machines_total,
     propagation_time,
     propagation_time_recursive,
@@ -73,14 +75,14 @@ def _random_config(rng: Random, max_depth: int = 5) -> HierarchyConfig:
 
 
 def _random_timings(rng: Random, depth: int, allow_saturated: bool) -> ChannelTimings:
-    def delay() -> int | None:
+    def delay() -> LatencyBound:
         if allow_saturated and rng.random() < 0.1:
-            return None
-        return rng.randint(0, 5_000_000)
+            return SATURATED
+        return LatencyBound(rng.randint(0, 5_000_000))
 
     t_in = [delay() for _ in range(depth)]
     t_out = [rng.randint(0, 5_000_000) for _ in range(depth)]
-    return ChannelTimings(t_in_us=(0, *t_in), t_out_us=(0, *t_out))
+    return ChannelTimings(t_in=(LatencyBound(0), *t_in), t_out_us=(0, *t_out))
 
 
 def _random_sim_config(rng: Random) -> SimConfig:

@@ -2,7 +2,11 @@
 
 import csv
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,7 +27,7 @@ from hiermon.loadmodel import (
     hierarchy_loads,
     write_coefficients,
 )
-from hiermon.model import HierarchyConfig, machines_total
+from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total
 from hiermon.sim import SimConfig, run
 
 
@@ -226,7 +230,7 @@ def test_timings_file_parses_saturated_marker(tmp_path):
     path = tmp_path / "timings.txt"
     path.write_text("t_in_s.1=0.25\nt_out_s.1=0.1\nt_in_s.2=Saturated\nt_out_s.2=0.5\n")
     timings = read_timings_file(path, 2)
-    assert timings.t_in_us == (0, 250_000, None)
+    assert timings.t_in == (LatencyBound(0), LatencyBound(250_000), SATURATED)
     assert timings.t_out_us == (0, 100_000, 500_000)
 
 
@@ -394,19 +398,14 @@ def test_simulate_bad_seed_env(capsys, tmp_path, monkeypatch):
 
 
 def test_simulate_saturated_topology_reports_levels(capsys, tmp_path):
-    topo = tmp_path / "topo.txt"
-    write_config_file(
-        topo, HierarchyConfig.from_seconds(1, [1, 1333], [60.0, 60.0], 60.0)
+    code, out, err = run_cli(
+        capsys, "--out", str(tmp_path), "simulate", "--preset", "single-level",
+        "--n-total", "200000",
     )
-    code, out, _ = run_cli(
-        capsys, "--out", str(tmp_path), "simulate", "--config", str(topo),
-        "--duration", "360",
-    )
-    assert code == 0
-    assert _summary_value(out, "analytic_bound_s") == "Saturated"
-    assert _summary_value(out, "saturated_levels") == "1"
-    assert _summary_value(out, "tightness") == "not comparable (saturated)"
-    assert _summary_value(out, "deliveries") == "0"
+    assert code == 2
+    assert out == ""
+    assert "saturated channel levels: 1 " in err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 # --- calibrate -----------------------------------------------------------------
@@ -535,6 +534,26 @@ def test_help_exits_zero(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that stops early (`hiermon sweep | head -1`) gets no traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+    # The first line is printed before the sweep starts; the next one after it.
+    argv = ["--out", str(tmp_path), "sweep", "--presets", "single-level",
+            "--n-max", "20000", "--step", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hiermon", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert proc.stdout.readline().startswith("coefficients:")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
 
 
 def test_invalid_config_exits_two(capsys, tmp_path):

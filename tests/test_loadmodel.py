@@ -27,13 +27,14 @@ from hiermon.loadmodel import (
     write_coefficients,
     write_samples_csv,
 )
-from hiermon.model import HierarchyConfig, propagation_time
+from hiermon.model import SATURATED, HierarchyConfig, propagation_time
 
 TINY_OUTPUT = (1e-12, 1e-9)
 
 
 def spec_of(inputs, output=TINY_OUTPUT):
-    return WorkloadSpec(tuple(inputs), output)
+    """A workload with one feeder per (rate_hz, size_kb) input."""
+    return WorkloadSpec(tuple((rate, size, 1) for rate, size in inputs), output)
 
 
 class TestCoefficients:
@@ -57,6 +58,10 @@ class TestWorkloadSpec:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
             WorkloadSpec((), (1.0, 0.0))
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="counts"):
+            WorkloadSpec(((1.0, 1.0, 0),), TINY_OUTPUT)
 
 
 class TestUtilization:
@@ -148,6 +153,14 @@ class TestModelProperties:
             k * base, rel=1e-9
         )
 
+    @given(_rates, _sizes, st.integers(1, 500), _flows)
+    def test_counted_flow_equals_repeated_single_flows(self, rate, size, count, output):
+        counted = WorkloadSpec(((rate, size, count),), output)
+        repeated = WorkloadSpec(((rate, size, 1),) * count, output)
+        assert utilization(counted, DEFAULT_COEFFICIENTS) == pytest.approx(
+            utilization(repeated, DEFAULT_COEFFICIENTS), rel=1e-12
+        )
+
     @given(st.floats(0.01, 0.95), st.floats(1.02, 5))
     def test_input_time_strictly_increases_with_utilization(self, u, factor):
         assume(u * factor < 0.999)
@@ -188,7 +201,7 @@ class TestHierarchyLoads:
     def test_three_level_defaults_stay_unsaturated(self):
         loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
         assert set(loads) == {0, 1, 2, 3}
-        assert all(not load.is_saturated for load in loads.values())
+        assert not any(t.is_saturated for t in hierarchy_timings(loads).t_in)
         assert loads[1].utilization == pytest.approx(0.054 + 0.055 / 30, rel=1e-6)
         assert loads[0].t_in_s == 0.0
 
@@ -201,13 +214,13 @@ class TestHierarchyLoads:
     def test_oversubscribed_single_level_saturates_the_bound(self):
         cfg = HierarchyConfig.from_seconds(1, [1, 1333], [60, 60], 60)
         timings = hierarchy_timings(hierarchy_loads(cfg, DEFAULT_COEFFICIENTS))
-        assert timings.t_in_us[1] is None
+        assert timings.t_in[1] == SATURATED
         assert propagation_time(cfg, timings, 1).is_saturated
 
     def test_timings_cover_every_level(self):
         timings = hierarchy_timings(hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS))
-        assert timings.covers(THREE_LEVEL.depth)
-        assert all(v is not None and v > 0 for v in timings.t_in_us[1:])
+        assert len(timings.t_in) == len(timings.t_out_us) == THREE_LEVEL.depth + 1
+        assert all(not v.is_saturated and v.micros > 0 for v in timings.t_in[1:])
         bound = propagation_time(THREE_LEVEL, timings, 3)
         assert 70.0 < bound.seconds < 75.0
 

@@ -161,7 +161,7 @@ def configs_with_timings(draw):
     delay = st.integers(min_value=0, max_value=30_000_000)
     t_in = (0, *draw(st.lists(delay, min_size=depth, max_size=depth)))
     t_out = (0, *draw(st.lists(delay, min_size=depth, max_size=depth)))
-    return cfg, ChannelTimings(t_in, t_out)
+    return cfg, ChannelTimings(tuple(map(LatencyBound, t_in)), t_out)
 
 
 class TestModelInvariants:
@@ -199,8 +199,8 @@ class TestModelInvariants:
     def test_saturation_propagates_to_root(self, case, data):
         cfg, timings = case
         cut = data.draw(st.integers(1, cfg.depth))
-        t_in = list(timings.t_in_us)
-        t_in[cut] = None
+        t_in = list(timings.t_in)
+        t_in[cut] = SATURATED
         broken = ChannelTimings(tuple(t_in), timings.t_out_us)
         for level in range(cut, cfg.depth + 1):
             assert propagation_time(cfg, broken, level).is_saturated

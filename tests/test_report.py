@@ -20,7 +20,6 @@ from hiermon.report import (
     aggregate,
     default_node_report,
     iter_leaves,
-    leaf_count,
     make_node_report,
     measure,
     parse,
@@ -55,7 +54,7 @@ class TestMakeNodeReport:
     def test_singleton(self):
         report = make_node_report("m-0001", [sr()], now=2000)
         assert report.level_kind is LevelKind.NODE
-        assert leaf_count(report) == 1
+        assert len(list(iter_leaves(report))) == 1
         assert report.generated_at_ms == 2000
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -75,7 +74,7 @@ class TestMakeNodeReport:
     def test_distinct_services_all_kept(self):
         window = [sr(service=f"svc-{i:02d}") for i in range(10)]
         report = make_node_report("m-0001", window, now=2000)
-        assert leaf_count(report) == 10
+        assert len(list(iter_leaves(report))) == 10
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindowError):
@@ -108,7 +107,7 @@ class TestAggregate:
         system = aggregate(
             [intermediate("a"), intermediate("b")], LevelKind.SYSTEM, "root", now=4000
         )
-        assert leaf_count(system) == 20
+        assert len(list(iter_leaves(system))) == 20
         assert report_level(system) == 2
 
     def test_exact_redelivery_collapsed(self):
@@ -123,7 +122,7 @@ class TestAggregate:
             make_node_report("m-0001", [sr(at=t)], now=t + 1) for t in (1000, 2000, 3000)
         ]
         agg = aggregate(windows, LevelKind.INTERMEDIATE, "ch", now=4000)
-        assert leaf_count(agg) == 3
+        assert len(list(iter_leaves(agg))) == 3
 
     def test_empty_buffer(self):
         with pytest.raises(EmptyWindowError):

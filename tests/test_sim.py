@@ -4,20 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import statistics
+import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermon import channel, report, sim
 from hiermon.channel import window_leaves
-from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, level_report_sizes_kb
+from hiermon.loadmodel import (
+    DEFAULT_COEFFICIENTS,
+    LoadCoefficients,
+    hierarchy_loads,
+    hierarchy_timings,
+    level_report_sizes_kb,
+)
 from hiermon.model import HierarchyConfig
 from hiermon.report import iter_leaves, measure, parse, serialize
 from hiermon.sim import (
-    LosslessnessReport,
-    NotComparableError,
-    SaturatedTopologyWarning,
     SimConfig,
     check_losslessness,
     check_staleness,
@@ -190,6 +194,11 @@ class TestAgainstModel:
         assert model_kb == pytest.approx(observed_kb, rel=0.10)
 
 
+def _unsaturated(config: SimConfig) -> bool:
+    timings = hierarchy_timings(hierarchy_loads(config.hierarchy, config.coeffs))
+    return not any(t.is_saturated for t in timings.t_in)
+
+
 @st.composite
 def random_small_trees(draw):
     """Depth 1-3, several services per machine, holds in any order, jitter < 0.9."""
@@ -206,10 +215,9 @@ def random_small_trees(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_small_trees())
+@given(random_small_trees().filter(_unsaturated))
 def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
     trace = run(config)
-    assume(not trace.analytic_bound.is_saturated)
     assert verify_against_model(trace).bound_respected
     assert check_losslessness(trace).ok
     assert trace.unmatched_leaves == 0
@@ -246,18 +254,30 @@ class TestEdgeReports:
 class TestSaturation:
     def test_oversubscribed_root_is_flagged_not_simulated_away(self):
         hierarchy = HierarchyConfig.from_seconds(1, [1, 1333], [60, 60], 60)
-        with pytest.warns(SaturatedTopologyWarning):
-            trace = run(SimConfig.build(hierarchy))
-        assert trace.saturated_levels == (1,)
-        assert trace.analytic_bound.is_saturated
-        assert trace.published
-        # pinned delays push every delivery past the end of the run
-        assert trace.deliveries == []
-        with pytest.raises(NotComparableError):
-            verify_against_model(trace)
-        report = check_losslessness(trace)
-        assert isinstance(report, LosslessnessReport)
-        assert check_staleness(trace)
+        timings = hierarchy_timings(hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS))
+        assert timings.t_in[1].is_saturated
+        with pytest.raises(ValueError, match="saturated channel levels: 1 "):
+            run(SimConfig.build(hierarchy))
+
+    def test_saturated_deeper_level_is_named(self):
+        # Level 1 carries 5 light feeders; the root's 400 big inputs saturate it.
+        hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 400], [30, 30, 30], 30)
+        timings = hierarchy_timings(hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS))
+        assert [t.is_saturated for t in timings.t_in] == [False, False, True]
+        with pytest.raises(ValueError, match="saturated channel levels: 2 "):
+            run(SimConfig.build(hierarchy))
+
+    def test_refusal_comes_before_any_per_machine_state(self):
+        hierarchy = HierarchyConfig.from_seconds(1, [1, 200_000], [60, 60], 60)
+        config = SimConfig.build(hierarchy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="saturated channel levels: 1 "):
+                run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCsvExport:

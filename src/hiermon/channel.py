@@ -1,10 +1,12 @@
 """Publisher, aggregator, and forwarder state machines around event channels.
 
-A Sensor collects service ticks on one machine and publishes a node window
-every hold window.  An aggregation channel buffers whatever its children
-publish and, once per hold window, merges the buffer into a single window
-that the forwarder republishes one level up.  The top-level channel emits
-system windows instead.
+A Sensor publishes one node window per hold window for one machine.  Its
+services tick at ``phase + k * period``, so each flush computes its window
+from the phases (see `sensor_flush`) instead of recording ticks.  An
+aggregation channel buffers whatever its children publish and, once per hold
+window, merges the buffer into a single window that the forwarder
+republishes one level up.  The top-level channel emits system windows
+instead.
 
 Windows carry leaf keys, not report payloads, and list their children in
 the order they were collected; ``hiermon.sim.window_report`` renders one as a
@@ -44,13 +46,13 @@ def window_leaves(window: Window) -> tuple[Leaf, ...] | list[Leaf]:
 
 @dataclass(slots=True)
 class SensorState:
-    """Per-machine collector: holds the latest tick per service until flush."""
+    """Per-machine collector of services ticking at ``phase + k * period_us``."""
 
     machine_id: str
     machine: int  # index of the machine, carried in each leaf
-    services: int  # app services registered, as indexes 0..services-1
+    phases: tuple[int, ...]  # first tick µs, per service index
+    period_us: int
     hold_us: int
-    pending: dict[int, int] = field(default_factory=dict)  # service index -> tick µs
     next_flush_us: int = -1
 
     def __post_init__(self) -> None:
@@ -58,33 +60,32 @@ class SensorState:
             self.next_flush_us = self.hold_us
 
 
-def sensor_on_app_tick(sensor: SensorState, service: int, now_us: int) -> SensorState:
-    """Record a fresh tick for one service; an unflushed older one is replaced.
-
-    A replaced tick keeps its service's place in the window, so a node window
-    lists services in the order of their first tick since the last flush.
-    """
-    if not 0 <= service < sensor.services:
-        raise ValueError(f"service {service!r} is not registered on {sensor.machine_id}")
-    sensor.pending[service] = now_us
-    return sensor
-
-
 def sensor_flush(sensor: SensorState, now_us: int) -> Window | None:
-    """Publish everything collected this window as one node window.
+    """Publish the window ``[now - hold, now)`` as one node window.
 
-    An empty window publishes nothing; either way the next flush is scheduled
-    one hold period later.
+    Each service that ticked in the window contributes its freshest tick;
+    services are ordered by their first tick in the window, then by index.
+    A tick at exactly ``now`` belongs to the next window.  An empty window
+    publishes nothing; either way the next flush is scheduled one hold
+    period later.
     """
     if now_us != sensor.next_flush_us:
         raise ValueError(
             f"flush at {now_us}us but {sensor.machine_id} is scheduled for {sensor.next_flush_us}us"
         )
+    start = now_us - sensor.hold_us
     sensor.next_flush_us += sensor.hold_us
-    if not sensor.pending:
+    period = sensor.period_us
+    ticks = []  # (first tick in window, service, freshest tick in window)
+    for service, phase in enumerate(sensor.phases):
+        last = now_us - 1 - (now_us - 1 - phase) % period  # below `phase` if none yet
+        if last >= start and last >= phase:
+            first = phase if phase >= start else start + (phase - start) % period
+            ticks.append((first, service, last))
+    if not ticks:
         return None
-    leaves = tuple([(sensor.machine, service, at) for service, at in sensor.pending.items()])
-    sensor.pending.clear()
+    ticks.sort()
+    leaves = tuple([(sensor.machine, service, last) for _, service, last in ticks])
     return Window(LevelKind.NODE, 0, sensor.machine_id, now_us // 1000, leaves)
 
 

@@ -1,11 +1,30 @@
 """Deterministic discrete-event simulation of a whole monitoring tree.
 
-The event loop drives app-service ticks, sensor flushes, channel flushes,
-and message deliveries on an integer-microsecond clock.  Delivery delays are
-the load model's per-level input/output times, so every observed propagation
-can be compared exactly against the analytic worst-case bound computed from
-the same numbers.  A tree with a saturated level has no finite delays to
-replay, so `run` refuses it before building any per-machine state.
+The event loop drives sensor flushes, channel flushes and message arrivals
+on an integer-microsecond clock.  Delivery delays are the load model's
+per-level input/output times, so every observed propagation can be compared
+exactly against the analytic worst-case bound computed from the same
+numbers.  A tree with a saturated level has no finite delays to replay, so
+`run` refuses it before building any per-machine state.
+
+Event rules.  All sensors share one flush schedule, and so do all channels
+of one level, so the heap holds one entry per (instant, kind, level):
+
+- ``SENSOR_FLUSH`` flushes every sensor in machine order.  Service ticks are
+  not events: each sensor computes its window from its services' phases.
+- ``CHANNEL_FLUSH`` flushes every channel of one level in index order.
+- ``CHANNEL_ARRIVAL`` hands one level a batch of ``(channel, window)``
+  pairs in source order.  The non-empty windows of a level-L flush at ``t``
+  arrive as one batch at ``t + t_out[L] + t_in[L+1]`` (``t + t_in[1]`` for
+  the sensors' flush).
+
+At equal instants channel flushes run first, then the sensor flush, then
+arrivals, so a window arriving exactly at a flush instant lands in the next
+window.  No two entries share a key: each level has one flush schedule, and
+each receiving level is fed by one source level over one fixed delay, so it
+gets at most one batch per instant.  Members of one level therefore act in
+index order, the order per-member events with a push-sequence tie-break
+would run in, and each channel buffers its children in source order.
 
 Determinism contract: one `Random(seed)` instance draws the tick phases
 before the loop starts and nothing else; the loop carries leaf keys, and
@@ -23,6 +42,7 @@ from heapq import heappop, heappush
 from math import prod
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from hiermon.channel import (
     ChannelState,
@@ -32,7 +52,6 @@ from hiermon.channel import (
     channel_flush,
     channel_on_publish,
     sensor_flush,
-    sensor_on_app_tick,
     window_leaves,
 )
 from hiermon.loadmodel import (
@@ -57,13 +76,11 @@ class EventKind(enum.Enum):
 
     CHANNEL_FLUSH = "channel-flush"
     SENSOR_FLUSH = "sensor-flush"
-    APP_SERVICE_TICK = "app-service-tick"
     CHANNEL_ARRIVAL = "channel-arrival"
-    FORWARD_DEPARTURE = "forward-departure"
 
 
 _KINDS = tuple(EventKind)
-_CHANNEL_FLUSH, _SENSOR_FLUSH, _TICK, _ARRIVAL, _DEPARTURE = range(len(_KINDS))  # heap keys
+_CHANNEL_FLUSH, _SENSOR_FLUSH, _ARRIVAL = range(len(_KINDS))  # heap keys
 
 _MIN_WINDOW_US = 1_000  # report timestamps are milliseconds; finer windows alias
 
@@ -105,8 +122,7 @@ class SimConfig:
             raise ValueError("hold windows below 1 ms alias report timestamps")
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     service_id: str
     emitted_at_us: int
     arrived_root_at_us: int
@@ -184,52 +200,42 @@ def run(config: SimConfig) -> SimTrace:
     machine_ids = [_machine_label(i, n_machines) for i in range(n_machines)]
     # group[level] = machines under one level-`level` channel
     group = [prod(hierarchy.fanout[1 : level + 1]) for level in range(depth + 1)]
-    channel_ids = [
+    channel_ids = [machine_ids] + [  # level 0 is the sensors
         [f"ch-{level}-{j:03d}" for j in range(n_machines // group[level])]
-        for level in range(depth + 1)
+        for level in range(1, depth + 1)
     ]
 
     services = hierarchy.fanout[0]
+    jitter = config.jitter_fraction
+    phases = [  # drawn machine by machine, then service by service
+        tuple(round(rng.random() * jitter * period_us) for _ in range(services)) for _ in machine_ids
+    ]
     sensors = [
-        SensorState(machine_id=mid, machine=m, services=services, hold_us=hierarchy.hold_us[0])
+        SensorState(mid, m, phases[m], period_us, hierarchy.hold_us[0])
         for m, mid in enumerate(machine_ids)
     ]
     service_ids = [[_service_label(mid, j) for j in range(services)] for mid in machine_ids]
-    channels: list[list[ChannelState]] = [[]]  # sensors live at level 0
-    for level in range(1, depth + 1):
-        channels.append(
-            [
-                ChannelState(
-                    channel_id=channel_ids[level][j],
-                    level=level,
-                    hold_us=hierarchy.hold_us[level],
-                    top_level=level == depth,
-                )
-                for j in range(len(channel_ids[level]))
-            ]
-        )
+    channels: list[list] = [sensors] + [
+        [ChannelState(cid, level, hierarchy.hold_us[level], top_level=level == depth)
+         for cid in channel_ids[level]]
+        for level in range(1, depth + 1)
+    ]
     level_paths = [
         tuple(channel_ids[level][m // group[level]] for level in range(1, depth + 1))
         for m in range(n_machines)
     ]
+    # hop_us[level] = delay from a flush at `level` to its arrival one level up
+    hop_us = [t_in_us[1]] + [t_out_us[level] + t_in_us[level + 1] for level in range(1, depth)]
 
-    heap: list[tuple[int, int, int, object]] = []
-    seq = 0
+    heap: list[tuple[int, int, int, list | None]] = []  # (at, kind, level, arrival batch)
 
-    def push(at: int, kind: int, payload: object) -> None:
-        nonlocal seq
+    def push(at: int, kind: int, level: int, batch: list | None = None) -> None:
         if at <= config.duration_us:
-            heappush(heap, (at, kind, seq, payload))
-            seq += 1
+            heappush(heap, (at, kind, level, batch))
 
-    for m in range(n_machines):
-        for j in range(services):
-            phase = round(rng.random() * config.jitter_fraction * period_us)
-            push(phase, _TICK, (m, j))
-        push(hierarchy.hold_us[0], _SENSOR_FLUSH, m)
+    push(hierarchy.hold_us[0], _SENSOR_FLUSH, 0)
     for level in range(1, depth + 1):
-        for j in range(len(channels[level])):
-            push(hierarchy.hold_us[level], _CHANNEL_FLUSH, (level, j))
+        push(hierarchy.hold_us[level], _CHANNEL_FLUSH, level)
 
     deliveries: list[DeliveryRecord] = []
     published: list[Leaf] = []
@@ -240,60 +246,49 @@ def run(config: SimConfig) -> SimTrace:
     counts: Counter = Counter()  # heap key -> events run
 
     while heap:
-        now, kind, _, payload = heappop(heap)
+        now, kind, level, batch = heappop(heap)
         counts[kind] += 1
 
-        if kind == _TICK:
-            m, j = payload
-            sensor_on_app_tick(sensors[m], j, now)
-            push(now + period_us, _TICK, payload)
+        if kind == _ARRIVAL:
+            for j, window in batch:
+                if level == depth:
+                    for leaf in window_leaves(window):
+                        try:
+                            pending_delivery.remove(leaf)
+                        except KeyError:
+                            unmatched += 1
+                            continue
+                        m, s, emitted = leaf
+                        deliveries.append(DeliveryRecord(
+                            service_ids[m][s], emitted, now, now - emitted, level_paths[m]
+                        ))
+                channel_on_publish(channels[level][j], window, now)
+            continue
 
-        elif kind == _SENSOR_FLUSH:
-            out = sensor_flush(sensors[payload], now)
-            push(now + hierarchy.hold_us[0], _SENSOR_FLUSH, payload)
+        push(now + hierarchy.hold_us[level], kind, level)
+        flush = channel_flush if level else sensor_flush
+        outs = []
+        for j, member in enumerate(channels[level]):
+            out = flush(member, now)
             if out is not None:
-                published.extend(out.children)
-                pending_delivery.update(out.children)
-                push(now + t_in_us[1], _ARRIVAL, (1, payload // group[1], out))
+                outs.append((j, out))
+        if level == 0:
+            leaves = [leaf for _, out in outs for leaf in out.children]
+            published.extend(leaves)
+            pending_delivery.update(leaves)
+        elif level == depth:  # the root: one channel
+            root_flush_times.append(now)
+            system_reports.extend(out for _, out in outs)
+            continue
+        if outs:
+            fanout = hierarchy.fanout[level + 1]
+            push(now + hop_us[level], _ARRIVAL, level + 1, [(j // fanout, out) for j, out in outs])
 
-        elif kind == _CHANNEL_FLUSH:
-            level, j = payload
-            out = channel_flush(channels[level][j], now)
-            push(now + hierarchy.hold_us[level], _CHANNEL_FLUSH, payload)
-            if level == depth:
-                root_flush_times.append(now)
-                if out is not None:
-                    system_reports.append(out)
-            elif out is not None:
-                push(now + t_out_us[level], _DEPARTURE, (level, j, out))
-
-        elif kind == _DEPARTURE:
-            level, j, window = payload
-            parent = j // hierarchy.fanout[level + 1]
-            push(now + t_in_us[level + 1], _ARRIVAL, (level + 1, parent, window))
-
-        else:  # _ARRIVAL
-            level, j, window = payload
-            if level == depth:
-                for leaf in window_leaves(window):
-                    try:
-                        pending_delivery.remove(leaf)
-                    except KeyError:
-                        unmatched += 1
-                        continue
-                    m, s, emitted = leaf
-                    deliveries.append(DeliveryRecord(
-                        service_ids[m][s], emitted, now, now - emitted, level_paths[m]
-                    ))
-            channel_on_publish(channels[level][j], window, now)
-
-    machines: list[tuple[str, int, float]] = [
-        (mid, 0, loads[0].utilization) for mid in machine_ids
+    machines = [
+        (cid, level, loads[level].utilization)
+        for level in range(depth + 1)
+        for cid in channel_ids[level]
     ]
-    for level in range(1, depth + 1):
-        machines.extend(
-            (cid, level, loads[level].utilization) for cid in channel_ids[level]
-        )
 
     return SimTrace(
         config=config,
@@ -371,12 +366,12 @@ def window_report(window: Window, service_period_s: float) -> Report:
 
 
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
+    """CSV rows as `csv.writer` would write them; service ids never need quoting."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["service_id", "emitted_at_us", "arrived_root_at_us", "propagation_us"])
-        writer.writerows(
-            (d.service_id, d.emitted_at_us, d.arrived_root_at_us, d.propagation_us)
-            for d in trace.deliveries
+        handle.write("service_id,emitted_at_us,arrived_root_at_us,propagation_us\r\n")
+        handle.writelines(
+            f"{service_id},{emitted},{arrived},{propagation}\r\n"
+            for service_id, emitted, arrived, propagation, _ in trace.deliveries
         )
 
 

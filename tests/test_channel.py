@@ -13,7 +13,6 @@ from hiermon.channel import (
     channel_flush,
     channel_on_publish,
     sensor_flush,
-    sensor_on_app_tick,
     window_leaves,
 )
 from hiermon.report import LevelKind, LevelMismatchError
@@ -21,11 +20,12 @@ from hiermon.report import LevelKind, LevelMismatchError
 SECOND = 1_000_000
 
 
-def fresh_sensor(services=2, hold_s=10, machine=0):
+def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0):
     return SensorState(
         machine_id=f"m-{machine + 1:04d}",
         machine=machine,
-        services=services,
+        phases=tuple(round(phase * SECOND) for phase in phases_s),
+        period_us=round(period_s * SECOND),
         hold_us=hold_s * SECOND,
     )
 
@@ -38,9 +38,14 @@ def fresh_channel(level=1, hold_s=30, top=False):
 
 def node_window(machine=0, emitted_us=0):
     """One machine's node window holding a single service tick."""
-    sensor = fresh_sensor(services=1, hold_s=1, machine=machine)
-    sensor.next_flush_us = emitted_us + 1
-    sensor_on_app_tick(sensor, 0, emitted_us)
+    sensor = SensorState(
+        machine_id=f"m-{machine + 1:04d}",
+        machine=machine,
+        phases=(emitted_us,),
+        period_us=SECOND,
+        hold_us=SECOND,
+        next_flush_us=emitted_us + 1,
+    )
     return sensor_flush(sensor, emitted_us + 1)
 
 
@@ -51,50 +56,67 @@ def flushed(channel, *windows):
     return channel_flush(channel, channel.next_flush_us)
 
 
+def brute_force_window(phases, period, hold, now):
+    """Enumerate every tick before `now`; keep the window's freshest per service."""
+    ticks = []
+    for service, phase in enumerate(phases):
+        in_window = [at for at in range(phase, now, period) if at >= now - hold]
+        if in_window:
+            ticks.append((min(in_window), service, max(in_window)))
+    return [(service, last) for _, service, last in sorted(ticks)]
+
+
 class TestSensor:
     def test_first_tick_registers_one_pending_report(self):
-        sensor = fresh_sensor()
-        sensor_on_app_tick(sensor, 0, now_us=1 * SECOND)
-        assert sensor.pending == {0: 1 * SECOND}
+        sensor = fresh_sensor(phases_s=(1,), period_s=20)
+        window = sensor_flush(sensor, now_us=10 * SECOND)
+        assert window.children == ((0, 0, 1 * SECOND),)
 
     def test_second_tick_replaces_the_first(self):
-        sensor = fresh_sensor()
-        sensor_on_app_tick(sensor, 0, now_us=1 * SECOND)
-        sensor_on_app_tick(sensor, 0, now_us=4 * SECOND)
-        assert sensor.pending == {0: 4 * SECOND}
+        sensor = fresh_sensor(phases_s=(1,), period_s=3)
+        window = sensor_flush(sensor, now_us=10 * SECOND)
+        assert window.children == ((0, 0, 7 * SECOND),)
 
     def test_freshest_tick_wins_and_keeps_first_tick_order(self):
-        sensor = fresh_sensor(services=2, machine=6)
-        sensor_on_app_tick(sensor, 1, now_us=1 * SECOND)
-        sensor_on_app_tick(sensor, 0, now_us=2 * SECOND)
-        sensor_on_app_tick(sensor, 1, now_us=3 * SECOND)
+        # service 1 ticks at 1, 4, 7 s; service 0 at 2, 5, 8 s
+        sensor = fresh_sensor(phases_s=(2, 1), period_s=3, machine=6)
         window = sensor_flush(sensor, now_us=10 * SECOND)
-        assert window.children == ((6, 1, 3 * SECOND), (6, 0, 2 * SECOND))
+        assert window.children == ((6, 1, 7 * SECOND), (6, 0, 8 * SECOND))
 
-    def test_unknown_service_rejected(self):
-        for service in (2, 99, -1):
-            with pytest.raises(ValueError, match="not registered"):
-                sensor_on_app_tick(fresh_sensor(services=2), service, now_us=0)
+    def test_first_tick_ties_keep_service_order(self):
+        sensor = fresh_sensor(phases_s=(3, 1, 1, 0.5), period_s=4, machine=2)
+        window = sensor_flush(sensor, now_us=10 * SECOND)
+        assert [service for _, service, _ in window.children] == [3, 1, 2, 0]
+
+    def test_later_windows_order_by_first_tick_in_the_window(self):
+        # window [10, 20): service 0 first ticks at 11 s, service 1 at 10.5 s
+        sensor = fresh_sensor(phases_s=(3, 2.5), period_s=4)
+        sensor_flush(sensor, now_us=10 * SECOND)
+        window = sensor_flush(sensor, now_us=20 * SECOND)
+        assert window.children == ((0, 1, 18_500_000), (0, 0, 19 * SECOND))
+
+    def test_tick_at_flush_instant_goes_to_next_window(self):
+        sensor = fresh_sensor(phases_s=(10,), period_s=10)
+        assert sensor_flush(sensor, now_us=10 * SECOND) is None
+        window = sensor_flush(sensor, now_us=20 * SECOND)
+        assert window.children == ((0, 0, 10 * SECOND),)
 
     def test_flush_emits_node_report_and_clears(self):
-        sensor = fresh_sensor(services=10, machine=3)
-        for i in range(10):
-            sensor_on_app_tick(sensor, i, now_us=i * SECOND)
+        sensor = fresh_sensor(phases_s=range(10), period_s=100, machine=3)
         window = sensor_flush(sensor, now_us=10 * SECOND)
         assert window is not None
         assert window.kind is LevelKind.NODE and window.level == 0
         assert window_leaves(window) == tuple((3, i, i * SECOND) for i in range(10))
         assert window.source == "m-0004"
         assert window.generated_at_ms == 10_000
-        assert sensor.pending == {}
+        assert sensor_flush(sensor, now_us=20 * SECOND) is None
 
     def test_empty_window_emits_nothing(self):
-        sensor = fresh_sensor()
+        sensor = fresh_sensor(phases_s=(10, 15))
         assert sensor_flush(sensor, now_us=10 * SECOND) is None
 
     def test_flush_right_after_flush_emits_nothing(self):
-        sensor = fresh_sensor()
-        sensor_on_app_tick(sensor, 0, now_us=SECOND)
+        sensor = fresh_sensor(phases_s=(1,), period_s=100)
         assert sensor_flush(sensor, now_us=10 * SECOND) is not None
         assert sensor_flush(sensor, now_us=20 * SECOND) is None
 
@@ -105,6 +127,20 @@ class TestSensor:
         assert sensor.next_flush_us == 20 * SECOND
         with pytest.raises(ValueError, match="scheduled"):
             sensor_flush(sensor, now_us=25 * SECOND)
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=6),
+        st.integers(1, 20),
+        st.integers(1, 30),
+        st.integers(1, 10),
+    )
+    def test_window_matches_brute_force_enumeration(self, phases, period, hold, flushes):
+        now = flushes * hold
+        sensor = SensorState("m-0001", 0, tuple(phases), period, hold, next_flush_us=now)
+        window = sensor_flush(sensor, now)
+        expected = brute_force_window(phases, period, hold, now)
+        got = [] if window is None else [(service, at) for _, service, at in window.children]
+        assert got == expected
 
 
 class TestChannelPublish:

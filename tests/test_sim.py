@@ -131,6 +131,22 @@ PINNED_OUTPUTS = {
         "e3d774dbeb849e12d2857424a04b2aafc93fab79c2e10ca9d63e37d23760a5fe",
         "90ddfb4d82cf04a64f37519116dcca1bf755cbc1db94aadb5f43f2bc1e7f3af8",
     ),
+    # equal phases, a decreasing hold, period < hold
+    "ties": (
+        HierarchyConfig.from_seconds(2, [3, 2, 2], [6, 2, 4], 2),
+        1,
+        0.0,
+        "66ab56c77e0851b1392be3795f6f76d6dffe6126f572009aab634b925b9924cb",
+        "839081795ff8492df2738b304fabb6ffd799d82eec95ed734561ac4132637bb0",
+    ),
+    # levels flush together at instants they reached from different push times
+    "uneven-holds": (
+        HierarchyConfig.from_seconds(3, [2, 2, 3, 2], [1, 2, 3, 5], 1),
+        4,
+        0.9,
+        "7233b8675f596aa92a258a9281657dad226d8d8fd6b17f8f9dc373df05a1d266",
+        "ca7f404cb06e9707d1abe30c566385ab46eee851376013f7c78b30fe65ba6d8f",
+    ),
 }
 
 

@@ -1,16 +1,19 @@
-"""Publisher, aggregator, and forwarder state machines around event channels.
+"""Sensor and channel levels: the publishers and aggregators of one tree level.
 
-A Sensor publishes one node window per hold window for one machine.  Its
-services tick at ``phase + k * period``, so each flush computes its window
-from the phases (see `sensor_flush`) instead of recording ticks.  An
-aggregation channel buffers whatever its children publish and, once per hold
-window, merges the buffer into a single window that the forwarder
-republishes one level up.  The top-level channel emits system windows
-instead.
+Every member of a level shares its hold and flush schedule, so one object
+carries a whole level and one call flushes it.  A sensor level holds each
+machine's service phases: services tick at ``phase + k * period``, so a
+flush computes each machine's window from the phases instead of recording
+ticks, and reuses window shapes that recur (see `SensorLevel`).  A channel
+level buffers whatever the level below publishes into it and, once per hold
+window, merges each channel's buffer into a single window that the
+forwarder republishes one level up.  The top-level channel emits system
+windows instead.
 
-Windows carry leaf keys, not report payloads, and list their children in
-the order they were collected; ``hiermon.sim.window_report`` renders one as a
-report tree.
+A flush returns ``[(member index, window), …]`` for its non-empty windows,
+in index order.  Windows carry leaf keys, not report payloads, and list
+their children in the order they were collected;
+``hiermon.sim.window_report`` renders one as a report tree.
 
 All state here is mutated solely by the simulator's event loop; instances
 must never be shared mutably across threads.
@@ -19,7 +22,8 @@ must never be shared mutably across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from hiermon.report import LevelKind, LevelMismatchError
 
@@ -44,101 +48,152 @@ def window_leaves(window: Window) -> tuple[Leaf, ...] | list[Leaf]:
     return [leaf for child in window.children for leaf in window_leaves(child)]
 
 
-@dataclass(slots=True)
-class SensorState:
-    """Per-machine collector of services ticking at ``phase + k * period_us``."""
+def window_shape(
+    phases: Sequence[int], period_us: int, start_us: int, end_us: int
+) -> tuple[tuple[int, int], ...]:
+    """One machine's window ``[start, end)`` as ordered ``(service, last tick - start)`` pairs.
 
-    machine_id: str
-    machine: int  # index of the machine, carried in each leaf
-    phases: tuple[int, ...]  # first tick µs, per service index
+    Each service that ticked in the window contributes its freshest tick;
+    services are ordered by their first tick in the window, then by index.
+    A tick at exactly ``end`` belongs to the next window.
+    """
+    ticks = []  # (first tick in window, service, freshest tick in window)
+    for service, phase in enumerate(phases):
+        last = end_us - 1 - (end_us - 1 - phase) % period_us  # below `phase` if none yet
+        if last >= start_us and last >= phase:
+            first = phase if phase >= start_us else start_us + (phase - start_us) % period_us
+            ticks.append((first, service, last))
+    ticks.sort()
+    return tuple([(service, last - start_us) for _, service, last in ticks])
+
+
+@dataclass(slots=True)
+class SensorLevel:
+    """Every machine's sensor: services tick at ``phase + k * period_us``, flushes every ``hold_us``.
+
+    Once a window opens at or after ``settled_us`` (one period, or the latest
+    phase if later) every service has ticked, so a machine's window shape
+    depends only on the window start modulo the period.  A flush looks its
+    shapes up by ``start`` before that and by ``settled_us + start % period``
+    after it.  Shapes are kept only for keys that come back by ``until_us``,
+    the last flush instant of the run: at most ``period / gcd(hold, period)``
+    keys, each holding one shape per machine.
+    """
+
+    machine_ids: Sequence[str]
+    phases: Sequence[tuple[int, ...]]  # per machine, first tick µs per service index
     period_us: int
     hold_us: int
+    until_us: int
     next_flush_us: int = -1
+    settled_us: int = field(init=False)
+    cycle_us: int = field(init=False)  # flush instants this far apart share a key
+    shapes: dict[int, list[tuple[tuple[int, int], ...]]] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.next_flush_us < 0:
             self.next_flush_us = self.hold_us
+        self.settled_us = max(self.period_us, max(map(max, self.phases), default=0))
+        self.cycle_us = lcm(self.hold_us, self.period_us)
 
 
-def sensor_flush(sensor: SensorState, now_us: int) -> Window | None:
-    """Publish the window ``[now - hold, now)`` as one node window.
+def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, Window]]:
+    """Publish every machine's window ``[now - hold, now)`` as one node window each.
 
-    Each service that ticked in the window contributes its freshest tick;
-    services are ordered by their first tick in the window, then by index.
-    A tick at exactly ``now`` belongs to the next window.  An empty window
-    publishes nothing; either way the next flush is scheduled one hold
-    period later.
+    Machines with an empty window publish nothing; either way the next flush
+    is scheduled one hold period later.
     """
-    if now_us != sensor.next_flush_us:
+    if now_us != sensors.next_flush_us:
         raise ValueError(
-            f"flush at {now_us}us but {sensor.machine_id} is scheduled for {sensor.next_flush_us}us"
+            f"flush at {now_us}us but the sensors are scheduled for {sensors.next_flush_us}us"
         )
-    start = now_us - sensor.hold_us
-    sensor.next_flush_us += sensor.hold_us
-    period = sensor.period_us
-    ticks = []  # (first tick in window, service, freshest tick in window)
-    for service, phase in enumerate(sensor.phases):
-        last = now_us - 1 - (now_us - 1 - phase) % period  # below `phase` if none yet
-        if last >= start and last >= phase:
-            first = phase if phase >= start else start + (phase - start) % period
-            ticks.append((first, service, last))
-    if not ticks:
-        return None
-    ticks.sort()
-    leaves = tuple([(sensor.machine, service, last) for _, service, last in ticks])
-    return Window(LevelKind.NODE, 0, sensor.machine_id, now_us // 1000, leaves)
+    start = now_us - sensors.hold_us
+    sensors.next_flush_us += sensors.hold_us
+    settled = sensors.settled_us
+    key = start if start < settled else settled + start % sensors.period_us
+    shapes = sensors.shapes.get(key)
+    if shapes is None:
+        period = sensors.period_us
+        shapes = [window_shape(phases, period, start, now_us) for phases in sensors.phases]
+        if start >= settled and now_us + sensors.cycle_us <= sensors.until_us:
+            sensors.shapes[key] = shapes
+    ids = sensors.machine_ids
+    at_ms = now_us // 1000
+    node = LevelKind.NODE
+    new_window = tuple.__new__  # builds a Window without its Python-level __new__
+    return [
+        (m, new_window(Window, (
+            node, 0, ids[m], at_ms, tuple([(m, s, start + offset) for s, offset in shape])
+        )))
+        for m, shape in enumerate(shapes)
+        if shape
+    ]
 
 
 @dataclass(slots=True)
-class ChannelState:
-    """One aggregation channel plus its bound interpreter and forwarder."""
+class ChannelLevel:
+    """Every aggregation channel of one level, with their bound interpreters and forwarders."""
 
-    channel_id: str
+    channel_ids: Sequence[str]
     level: int
     hold_us: int
     top_level: bool = False
-    buffer: list[Window] = field(default_factory=list)
     next_flush_us: int = -1
+    buffers: list[list[Window]] = field(init=False)  # per channel index
 
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValueError("channel level must be >= 1")
         if self.next_flush_us < 0:
             self.next_flush_us = self.hold_us
+        self.buffers = [[] for _ in self.channel_ids]
 
 
-def channel_on_publish(channel: ChannelState, window: Window, now_us: int) -> ChannelState:
-    """Buffer a window published by a lower level."""
-    if window.kind is LevelKind.SYSTEM or window.level >= channel.level:
+def channel_publish(
+    channels: ChannelLevel, batch: Sequence[tuple[int, Window]], now_us: int
+) -> None:
+    """Buffer one flush of a lower level: window ``w`` of ``(j, w)`` goes to channel ``j``.
+
+    A batch comes from one flush of one level, so its windows share kind and
+    level, and the receiving level has one flush schedule: one check of each
+    rule covers every window.
+    """
+    j, window = batch[0]
+    if window.kind is LevelKind.SYSTEM or window.level >= channels.level:
         raise LevelMismatchError(
             f"level-{window.level} {window.kind.value} window "
-            f"cannot enter level-{channel.level} channel {channel.channel_id}"
+            f"cannot enter level-{channels.level} channel {channels.channel_ids[j]}"
         )
-    if now_us >= channel.next_flush_us:
+    if now_us >= channels.next_flush_us:
         raise RuntimeError(
-            f"{channel.channel_id}: publish at {now_us}us but flush at "
-            f"{channel.next_flush_us}us has not run"
+            f"{channels.channel_ids[j]}: publish at {now_us}us but flush at "
+            f"{channels.next_flush_us}us has not run"
         )
-    channel.buffer.append(window)
-    return channel
+    buffers = channels.buffers
+    for j, window in batch:
+        buffers[j].append(window)
 
 
-def channel_flush(channel: ChannelState, now_us: int) -> Window | None:
-    """Merge the buffered window, in arrival order, into one window for the forwarder.
+def channel_flush(channels: ChannelLevel, now_us: int) -> list[tuple[int, Window]]:
+    """Merge each channel's buffered windows, in arrival order, into one window for its forwarder.
 
-    Arrivals stamped exactly at flush time are not in the buffer (the event
+    Arrivals stamped exactly at flush time are not in the buffers (the event
     loop runs flushes first), so they land in the next window.  No source emits
     two windows with one timestamp (holds are at least 1 ms): nothing to dedup.
     """
-    if now_us != channel.next_flush_us:
+    if now_us != channels.next_flush_us:
         raise ValueError(
-            f"flush at {now_us}us but {channel.channel_id} is scheduled for "
-            f"{channel.next_flush_us}us"
+            f"flush at {now_us}us but level-{channels.level} channels are scheduled for "
+            f"{channels.next_flush_us}us"
         )
-    channel.next_flush_us += channel.hold_us
-    if not channel.buffer:
-        return None
-    kind = LevelKind.SYSTEM if channel.top_level else LevelKind.INTERMEDIATE
-    window = Window(kind, channel.level, channel.channel_id, now_us // 1000, tuple(channel.buffer))
-    channel.buffer.clear()
-    return window
+    channels.next_flush_us += channels.hold_us
+    kind = LevelKind.SYSTEM if channels.top_level else LevelKind.INTERMEDIATE
+    ids = channels.channel_ids
+    level = channels.level
+    at_ms = now_us // 1000
+    out = []
+    for j, buffer in enumerate(channels.buffers):
+        if buffer:
+            out.append((j, Window(kind, level, ids[j], at_ms, tuple(buffer))))
+            buffer.clear()
+    return out

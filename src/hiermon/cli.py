@@ -307,6 +307,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"fit residuals (max abs, s): parse={residuals.parse_residual_s:.3g} "
           f"serialize={residuals.serialize_residual_s:.3g} "
           f"aggregate={residuals.aggregate_residual_s:.3g}")
+    print(f"clamped: {', '.join(residuals.clamped) or 'none'}")
     return 0
 
 

@@ -226,11 +226,12 @@ class CostSample:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Largest absolute fit residual per operation, in seconds."""
+    """Largest absolute fit residual per operation, in seconds, and the fits clamped to 0."""
 
     parse_residual_s: float
     serialize_residual_s: float
     aggregate_residual_s: float
+    clamped: tuple[str, ...] = ()  # operations whose fit had a negative slope or intercept
 
 
 _TARGET_BATCH_S = 2e-3
@@ -311,12 +312,20 @@ def measure_costs(
     return samples
 
 
-def _affine_fit(samples: Sequence[CostSample], cost: Callable[[CostSample], float], name: str):
+def _affine_fit(
+    samples: Sequence[CostSample],
+    cost: Callable[[CostSample], float],
+    name: str,
+    clamped: list[str],
+):
+    """Least-squares ``(slope, intercept, max residual)``; a fit with a negative term is
+    clamped to 0 and its ``name`` appended to ``clamped``."""
     xs = [s.size_kb for s in samples]
     ys = [cost(s) for s in samples]
     slope, intercept = statistics.linear_regression(xs, ys)
     if slope < 0 or intercept < 0:
         warnings.warn(f"{name} fit produced a negative term; clamping to 0", stacklevel=3)
+        clamped.append(name)
         slope = max(slope, 0.0)
         intercept = max(intercept, 0.0)
     residual = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
@@ -331,9 +340,14 @@ def fit(samples: Sequence[CostSample]) -> tuple[LoadCoefficients, FitReport]:
     """
     if len({s.size_kb for s in samples}) < 3:
         raise ValueError("fit needs at least 3 samples with distinct sizes")
-    parse_slope, parse_fixed, parse_res = _affine_fit(samples, lambda s: s.parse_s, "parse")
-    ser_slope, ser_fixed, ser_res = _affine_fit(samples, lambda s: s.serialize_s, "serialize")
-    agg_slope, _, agg_res = _affine_fit(samples, lambda s: s.aggregate_s, "aggregate")
+    clamped: list[str] = []
+    parse_slope, parse_fixed, parse_res = _affine_fit(
+        samples, lambda s: s.parse_s, "parse", clamped
+    )
+    ser_slope, ser_fixed, ser_res = _affine_fit(
+        samples, lambda s: s.serialize_s, "serialize", clamped
+    )
+    agg_slope, _, agg_res = _affine_fit(samples, lambda s: s.aggregate_s, "aggregate", clamped)
     coeffs = LoadCoefficients(
         parse_s_per_kb=max(parse_slope, 1e-12),
         parse_fixed_s=parse_fixed,
@@ -343,7 +357,7 @@ def fit(samples: Sequence[CostSample]) -> tuple[LoadCoefficients, FitReport]:
         net_latency_s=DEFAULT_COEFFICIENTS.net_latency_s,
         calibrated=True,
     )
-    return coeffs, FitReport(parse_res, ser_res, agg_res)
+    return coeffs, FitReport(parse_res, ser_res, agg_res, tuple(clamped))
 
 
 # --- persistence --------------------------------------------------------------

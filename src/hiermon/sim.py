@@ -8,11 +8,12 @@ numbers.  A tree with a saturated level has no finite delays to replay, so
 `run` refuses it before building any per-machine state.
 
 Event rules.  All sensors share one flush schedule, and so do all channels
-of one level, so the heap holds one entry per (instant, kind, level):
+of one level, so each level is one object (`SensorLevel`, `ChannelLevel`)
+and the heap holds one entry per (instant, kind, level):
 
-- ``SENSOR_FLUSH`` flushes every sensor in machine order.  Service ticks are
-  not events: each sensor computes its window from its services' phases.
-- ``CHANNEL_FLUSH`` flushes every channel of one level in index order.
+- ``SENSOR_FLUSH`` flushes the sensor level, every machine in index order.
+  Service ticks are not events: each window comes from the services' phases.
+- ``CHANNEL_FLUSH`` flushes one channel level, every channel in index order.
 - ``CHANNEL_ARRIVAL`` hands one level a batch of ``(channel, window)``
   pairs in source order.  The non-empty windows of a level-L flush at ``t``
   arrive as one batch at ``t + t_out[L] + t_in[L+1]`` (``t + t_in[1]`` for
@@ -25,6 +26,17 @@ each receiving level is fed by one source level over one fixed delay, so it
 gets at most one batch per instant.  Members of one level therefore act in
 index order, the order per-member events with a push-sequence tie-break
 would run in, and each channel buffers its children in source order.
+
+Streaming audit.  Leaves in flight (published by a sensor, not yet at the
+root) are the only leaves the loop keeps in a set.  Sensor flushes count
+published and covered leaves; a window reaching the root takes its leaves out
+of the set and becomes delivery records in one pass.  A leaf that is not in
+flight is counted as unmatched.  When no leaf was unmatched and every root
+window holds exactly what arrived since the previous root flush, each root
+leaf arrived once and was published, so nothing is duplicated and a covered
+leaf is missing exactly when it is still in flight or reached the root after
+its last flush.  Otherwise the audit replays the sensor flushes and counts
+the root windows' leaves, as a full multiset comparison would.
 
 Determinism contract: one `Random(seed)` instance draws the tick phases
 before the loop starts and nothing else; the loop carries leaf keys, and
@@ -45,12 +57,12 @@ from random import Random
 from typing import NamedTuple
 
 from hiermon.channel import (
-    ChannelState,
-    SensorState,
+    ChannelLevel,
     Leaf,
+    SensorLevel,
     Window,
     channel_flush,
-    channel_on_publish,
+    channel_publish,
     sensor_flush,
     window_leaves,
 )
@@ -140,8 +152,8 @@ class SimTrace:
     staleness_bound: LatencyBound
     system_reports: list[Window]  # the root's non-empty windows, in flush order
     root_flush_times_us: list[int]
-    published: list[Leaf]  # every leaf a sensor flushed
-    unmatched_leaves: int
+    unmatched_leaves: int  # root arrivals of leaves that were not in flight
+    losslessness: LosslessnessReport
     event_counts: Counter
 
 
@@ -210,14 +222,10 @@ def run(config: SimConfig) -> SimTrace:
     phases = [  # drawn machine by machine, then service by service
         tuple(round(rng.random() * jitter * period_us) for _ in range(services)) for _ in machine_ids
     ]
-    sensors = [
-        SensorState(mid, m, phases[m], period_us, hierarchy.hold_us[0])
-        for m, mid in enumerate(machine_ids)
-    ]
+    sensors = SensorLevel(machine_ids, phases, period_us, hierarchy.hold_us[0], config.duration_us)
     service_ids = [[_service_label(mid, j) for j in range(services)] for mid in machine_ids]
-    channels: list[list] = [sensors] + [
-        [ChannelState(cid, level, hierarchy.hold_us[level], top_level=level == depth)
-         for cid in channel_ids[level]]
+    levels: list = [sensors] + [
+        ChannelLevel(channel_ids[level], level, hierarchy.hold_us[level], top_level=level == depth)
         for level in range(1, depth + 1)
     ]
     level_paths = [
@@ -226,6 +234,8 @@ def run(config: SimConfig) -> SimTrace:
     ]
     # hop_us[level] = delay from a flush at `level` to its arrival one level up
     hop_us = [t_in_us[1]] + [t_out_us[level] + t_in_us[level + 1] for level in range(1, depth)]
+    # a leaf emitted by then has the bound plus one root hold to reach a root window
+    horizon = config.duration_us - bound.micros - hierarchy.hold_us[depth]
 
     heap: list[tuple[int, int, int, list | None]] = []  # (at, kind, level, arrival batch)
 
@@ -238,23 +248,39 @@ def run(config: SimConfig) -> SimTrace:
         push(hierarchy.hold_us[level], _CHANNEL_FLUSH, level)
 
     deliveries: list[DeliveryRecord] = []
-    published: list[Leaf] = []
-    pending_delivery: set[Leaf] = set()
+    in_flight: set[Leaf] = set()
+    published = covered = unmatched = 0
+    root_arrivals: list[Window] = []  # since the last root flush
+    root_windows_faithful = True  # each root window held exactly its arrivals
     system_reports: list[Window] = []
     root_flush_times: list[int] = []
-    unmatched = 0
     counts: Counter = Counter()  # heap key -> events run
+    new_record = tuple.__new__  # builds a DeliveryRecord without its Python-level __new__
 
     while heap:
         now, kind, level, batch = heappop(heap)
         counts[kind] += 1
 
         if kind == _ARRIVAL:
-            for j, window in batch:
-                if level == depth:
-                    for leaf in window_leaves(window):
+            if level == depth:
+                for _, window in batch:
+                    root_arrivals.append(window)
+                    leaves = window_leaves(window)
+                    if in_flight.issuperset(leaves):
+                        before = len(in_flight)
+                        in_flight.difference_update(leaves)
+                        if before - len(in_flight) == len(leaves):
+                            deliveries += [
+                                new_record(DeliveryRecord, (
+                                    service_ids[m][s], emitted, now, now - emitted, level_paths[m]
+                                ))
+                                for m, s, emitted in leaves
+                            ]
+                            continue
+                        in_flight.update(leaves)  # a leaf repeats in this window: undo
+                    for leaf in leaves:
                         try:
-                            pending_delivery.remove(leaf)
+                            in_flight.remove(leaf)
                         except KeyError:
                             unmatched += 1
                             continue
@@ -262,27 +288,43 @@ def run(config: SimConfig) -> SimTrace:
                         deliveries.append(DeliveryRecord(
                             service_ids[m][s], emitted, now, now - emitted, level_paths[m]
                         ))
-                channel_on_publish(channels[level][j], window, now)
+            channel_publish(levels[level], batch, now)
             continue
 
         push(now + hierarchy.hold_us[level], kind, level)
-        flush = channel_flush if level else sensor_flush
-        outs = []
-        for j, member in enumerate(channels[level]):
-            out = flush(member, now)
-            if out is not None:
-                outs.append((j, out))
         if level == 0:
+            outs = sensor_flush(sensors, now)
             leaves = [leaf for _, out in outs for leaf in out.children]
-            published.extend(leaves)
-            pending_delivery.update(leaves)
-        elif level == depth:  # the root: one channel
-            root_flush_times.append(now)
-            system_reports.extend(out for _, out in outs)
-            continue
+            in_flight.update(leaves)
+            published += len(leaves)
+            if now - 1 <= horizon:  # every leaf was emitted in [now - hold, now)
+                covered += len(leaves)
+            elif now - hierarchy.hold_us[0] <= horizon:
+                covered += sum(1 for leaf in leaves if leaf[2] <= horizon)
+        else:
+            outs = channel_flush(levels[level], now)
+            if level == depth:  # the root: one channel
+                root_flush_times.append(now)
+                system_reports.extend(out for _, out in outs)
+                expected = [tuple(root_arrivals)] if root_arrivals else []
+                root_windows_faithful &= [out.children for _, out in outs] == expected
+                root_arrivals.clear()
+                continue
         if outs:
             fanout = hierarchy.fanout[level + 1]
             push(now + hop_us[level], _ARRIVAL, level + 1, [(j // fanout, out) for j, out in outs])
+
+    if unmatched or not root_windows_faithful:
+        losslessness = _recount_losslessness(sensors, system_reports, horizon, published, covered)
+    else:
+        last_root_flush = root_flush_times[-1] if root_flush_times else 0
+        late = 0  # covered leaves that reached the root after its last flush
+        for record in reversed(deliveries):
+            if record.arrived_root_at_us < last_root_flush:
+                break
+            late += record.emitted_at_us <= horizon
+        missing = late + sum(1 for leaf in in_flight if leaf[2] <= horizon)
+        losslessness = LosslessnessReport(published, covered, missing, 0)
 
     machines = [
         (cid, level, loads[level].utilization)
@@ -299,10 +341,28 @@ def run(config: SimConfig) -> SimTrace:
         staleness_bound=stale_bound,
         system_reports=system_reports,
         root_flush_times_us=root_flush_times,
-        published=published,
         unmatched_leaves=unmatched,
+        losslessness=losslessness,
         event_counts=Counter({_KINDS[kind]: n for kind, n in counts.items()}),
     )
+
+
+def _recount_losslessness(
+    sensors: SensorLevel, system_reports: list[Window], horizon: int, published: int, covered: int
+) -> LosslessnessReport:
+    """The audit by multisets: replay every sensor flush and count the root windows' leaves."""
+    replay = SensorLevel(sensors.machine_ids, sensors.phases, sensors.period_us, sensors.hold_us, 0)
+    flush_times = range(sensors.hold_us, sensors.until_us + 1, sensors.hold_us)
+    counted = Counter(leaf for window in system_reports for leaf in window_leaves(window))
+    missing = sum(
+        1
+        for now in flush_times
+        for _, window in sensor_flush(replay, now)
+        for leaf in window.children
+        if leaf[2] <= horizon and leaf not in counted
+    )
+    duplicated = sum(1 for count in counted.values() if count > 1)
+    return LosslessnessReport(published, covered, missing, duplicated)
 
 
 def verify_against_model(trace: SimTrace) -> ModelCheck:
@@ -322,24 +382,14 @@ def check_staleness(trace: SimTrace) -> bool:
 
 
 def check_losslessness(trace: SimTrace) -> LosslessnessReport:
-    """Published-vs-root-leaf multiset comparison over the covered window.
+    """Published-vs-root-leaf comparison over the covered window, audited during the run.
 
     A published leaf is covered when the propagation bound plus one root hold
     still fits before the end of the run; covered leaves must appear exactly
-    once across all system windows, everything at most once.
+    once across all system windows, everything at most once.  The module
+    docstring says how the run counts this without keeping every leaf.
     """
-    counted: Counter = Counter()
-    for window in trace.system_reports:
-        counted.update(window_leaves(window))
-    duplicated = sum(1 for c in counted.values() if c > 1)
-    horizon = (
-        trace.config.duration_us
-        - trace.analytic_bound.micros
-        - trace.config.hierarchy.hold_us[trace.config.hierarchy.depth]
-    )
-    covered = [leaf for leaf in trace.published if leaf[2] <= horizon]
-    missing = sum(1 for leaf in covered if counted[leaf] == 0)
-    return LosslessnessReport(len(trace.published), len(covered), missing, duplicated)
+    return trace.losslessness
 
 
 def window_report(window: Window, service_period_s: float) -> Report:

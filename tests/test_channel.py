@@ -1,17 +1,19 @@
-"""Tests for the sensor/channel state machines."""
+"""Tests for the sensor and channel levels."""
 
 from __future__ import annotations
+
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hiermon.channel import (
-    ChannelState,
-    SensorState,
+    ChannelLevel,
+    SensorLevel,
     Window,
     channel_flush,
-    channel_on_publish,
+    channel_publish,
     sensor_flush,
     window_leaves,
 )
@@ -20,40 +22,57 @@ from hiermon.report import LevelKind, LevelMismatchError
 SECOND = 1_000_000
 
 
-def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0):
-    return SensorState(
-        machine_id=f"m-{machine + 1:04d}",
-        machine=machine,
-        phases=tuple(round(phase * SECOND) for phase in phases_s),
+def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0, until_s=100):
+    """A sensor level of ``machine + 1`` machines ticking alike; `flushed_node` reads the last."""
+    phases = tuple(round(phase * SECOND) for phase in phases_s)
+    return SensorLevel(
+        machine_ids=[f"m-{m + 1:04d}" for m in range(machine + 1)],
+        phases=[phases] * (machine + 1),
         period_us=round(period_s * SECOND),
         hold_us=hold_s * SECOND,
+        until_us=until_s * SECOND,
     )
+
+
+def flushed_node(sensors, now_us):
+    """Flush a sensor level; the last machine's node window, or None when it is empty."""
+    return dict(sensor_flush(sensors, now_us)).get(len(sensors.machine_ids) - 1)
 
 
 def fresh_channel(level=1, hold_s=30, top=False):
-    return ChannelState(
-        channel_id=f"ch-{level}-01", level=level, hold_us=hold_s * SECOND, top_level=top
+    """A channel level holding one channel."""
+    return ChannelLevel(
+        channel_ids=[f"ch-{level}-01"], level=level, hold_us=hold_s * SECOND, top_level=top
     )
+
+
+def publish(channel, window, now_us):
+    channel_publish(channel, [(0, window)], now_us)
+
+
+def flushed_window(channel, now_us):
+    """Flush a one-channel level; its window, or None when the buffer was empty."""
+    return dict(channel_flush(channel, now_us)).get(0)
 
 
 def node_window(machine=0, emitted_us=0):
     """One machine's node window holding a single service tick."""
-    sensor = SensorState(
-        machine_id=f"m-{machine + 1:04d}",
-        machine=machine,
-        phases=(emitted_us,),
+    sensors = SensorLevel(
+        machine_ids=[f"m-{m + 1:04d}" for m in range(machine + 1)],
+        phases=[(emitted_us,)] * (machine + 1),
         period_us=SECOND,
         hold_us=SECOND,
+        until_us=0,
         next_flush_us=emitted_us + 1,
     )
-    return sensor_flush(sensor, emitted_us + 1)
+    return flushed_node(sensors, emitted_us + 1)
 
 
 def flushed(channel, *windows):
     """Publish windows into a channel and flush it at its first scheduled time."""
     for window in windows:
-        channel_on_publish(channel, window, now_us=0)
-    return channel_flush(channel, channel.next_flush_us)
+        publish(channel, window, now_us=0)
+    return flushed_window(channel, channel.next_flush_us)
 
 
 def brute_force_window(phases, period, hold, now):
@@ -69,56 +88,56 @@ def brute_force_window(phases, period, hold, now):
 class TestSensor:
     def test_first_tick_registers_one_pending_report(self):
         sensor = fresh_sensor(phases_s=(1,), period_s=20)
-        window = sensor_flush(sensor, now_us=10 * SECOND)
+        window = flushed_node(sensor, now_us=10 * SECOND)
         assert window.children == ((0, 0, 1 * SECOND),)
 
     def test_second_tick_replaces_the_first(self):
         sensor = fresh_sensor(phases_s=(1,), period_s=3)
-        window = sensor_flush(sensor, now_us=10 * SECOND)
+        window = flushed_node(sensor, now_us=10 * SECOND)
         assert window.children == ((0, 0, 7 * SECOND),)
 
     def test_freshest_tick_wins_and_keeps_first_tick_order(self):
         # service 1 ticks at 1, 4, 7 s; service 0 at 2, 5, 8 s
         sensor = fresh_sensor(phases_s=(2, 1), period_s=3, machine=6)
-        window = sensor_flush(sensor, now_us=10 * SECOND)
+        window = flushed_node(sensor, now_us=10 * SECOND)
         assert window.children == ((6, 1, 7 * SECOND), (6, 0, 8 * SECOND))
 
     def test_first_tick_ties_keep_service_order(self):
         sensor = fresh_sensor(phases_s=(3, 1, 1, 0.5), period_s=4, machine=2)
-        window = sensor_flush(sensor, now_us=10 * SECOND)
+        window = flushed_node(sensor, now_us=10 * SECOND)
         assert [service for _, service, _ in window.children] == [3, 1, 2, 0]
 
     def test_later_windows_order_by_first_tick_in_the_window(self):
         # window [10, 20): service 0 first ticks at 11 s, service 1 at 10.5 s
         sensor = fresh_sensor(phases_s=(3, 2.5), period_s=4)
         sensor_flush(sensor, now_us=10 * SECOND)
-        window = sensor_flush(sensor, now_us=20 * SECOND)
+        window = flushed_node(sensor, now_us=20 * SECOND)
         assert window.children == ((0, 1, 18_500_000), (0, 0, 19 * SECOND))
 
     def test_tick_at_flush_instant_goes_to_next_window(self):
         sensor = fresh_sensor(phases_s=(10,), period_s=10)
-        assert sensor_flush(sensor, now_us=10 * SECOND) is None
-        window = sensor_flush(sensor, now_us=20 * SECOND)
+        assert flushed_node(sensor, now_us=10 * SECOND) is None
+        window = flushed_node(sensor, now_us=20 * SECOND)
         assert window.children == ((0, 0, 10 * SECOND),)
 
     def test_flush_emits_node_report_and_clears(self):
         sensor = fresh_sensor(phases_s=range(10), period_s=100, machine=3)
-        window = sensor_flush(sensor, now_us=10 * SECOND)
+        window = flushed_node(sensor, now_us=10 * SECOND)
         assert window is not None
         assert window.kind is LevelKind.NODE and window.level == 0
         assert window_leaves(window) == tuple((3, i, i * SECOND) for i in range(10))
         assert window.source == "m-0004"
         assert window.generated_at_ms == 10_000
-        assert sensor_flush(sensor, now_us=20 * SECOND) is None
+        assert flushed_node(sensor, now_us=20 * SECOND) is None
 
     def test_empty_window_emits_nothing(self):
         sensor = fresh_sensor(phases_s=(10, 15))
-        assert sensor_flush(sensor, now_us=10 * SECOND) is None
+        assert flushed_node(sensor, now_us=10 * SECOND) is None
 
     def test_flush_right_after_flush_emits_nothing(self):
         sensor = fresh_sensor(phases_s=(1,), period_s=100)
-        assert sensor_flush(sensor, now_us=10 * SECOND) is not None
-        assert sensor_flush(sensor, now_us=20 * SECOND) is None
+        assert flushed_node(sensor, now_us=10 * SECOND) is not None
+        assert flushed_node(sensor, now_us=20 * SECOND) is None
 
     def test_flush_schedule_is_arithmetic(self):
         sensor = fresh_sensor(hold_s=10)
@@ -128,61 +147,106 @@ class TestSensor:
         with pytest.raises(ValueError, match="scheduled"):
             sensor_flush(sensor, now_us=25 * SECOND)
 
+    def test_flush_covers_every_machine_in_index_order(self):
+        phases = [(1,), (SECOND + 5,), (2,)]
+        sensors = SensorLevel(["m-0001", "m-0002", "m-0003"], phases, 2 * SECOND, SECOND, 0)
+        windows = sensor_flush(sensors, SECOND)
+        assert [(m, window.source, window.children) for m, window in windows] == [
+            (0, "m-0001", ((0, 0, 1),)),
+            (2, "m-0003", ((2, 0, 2),)),
+        ]
+
     @given(
         st.lists(st.integers(0, 60), min_size=1, max_size=6),
-        st.integers(1, 20),
+        st.integers(1, 12),
         st.integers(1, 30),
-        st.integers(1, 10),
+        st.integers(1, 16),
     )
     def test_window_matches_brute_force_enumeration(self, phases, period, hold, flushes):
-        now = flushes * hold
-        sensor = SensorState("m-0001", 0, tuple(phases), period, hold, next_flush_us=now)
-        window = sensor_flush(sensor, now)
-        expected = brute_force_window(phases, period, hold, now)
-        got = [] if window is None else [(service, at) for _, service, at in window.children]
-        assert got == expected
+        """Every window, computed or reused across residues, equals direct enumeration."""
+        until = flushes * hold
+        machines = [tuple(phases), tuple(reversed(phases))]
+        sensors = SensorLevel(["m-0001", "m-0002"], machines, period, hold, until)
+        for now in range(hold, until + 1, hold):
+            windows = dict(sensor_flush(sensors, now))
+            for m, machine_phases in enumerate(machines):
+                window = windows.get(m)
+                got = [] if window is None else [(s, at) for _, s, at in window.children]
+                assert got == brute_force_window(machine_phases, period, hold, now)
+        assert len(sensors.shapes) <= period // gcd(period, hold)
+
+    @pytest.mark.parametrize(
+        "hold_us, period_us, until_us, kept",
+        [
+            (2, 2, 18, [2]),  # hold = period: one steady shape; the first window is never kept
+            (3, 2, 30, [2, 3]),  # shapes alternate with start % period
+            (3, 2, 9, []),  # start 3 recurs at 9 + 6 > until: not kept
+            (1, 3, 12, [3, 4, 5]),  # windows opening before one period never recur
+            (1001, 2000, 9009, []),  # residues recur only after lcm(hold, period) = 2 002 000
+        ],
+    )
+    def test_shapes_are_kept_only_for_keys_that_recur(self, hold_us, period_us, until_us, kept):
+        sensors = SensorLevel(["m-0001"], [(0, 1)], period_us, hold_us, until_us)
+        for now in range(hold_us, until_us + 1, hold_us):
+            sensor_flush(sensors, now)
+        assert sorted(sensors.shapes) == kept
 
 
 class TestChannelPublish:
     def test_node_report_buffered(self):
         channel = fresh_channel(level=1)
-        channel_on_publish(channel, node_window(), now_us=SECOND)
-        assert len(channel.buffer) == 1
+        publish(channel, node_window(), now_us=SECOND)
+        assert len(channel.buffers[0]) == 1
 
     def test_fifty_publishes_buffered(self):
         channel = fresh_channel(level=1)
         for i in range(50):
-            channel_on_publish(channel, node_window(i), now_us=i)
-        assert len(channel.buffer) == 50
+            publish(channel, node_window(i), now_us=i)
+        assert len(channel.buffers[0]) == 50
 
     def test_system_report_rejected(self):
         system = flushed(fresh_channel(level=1, top=True), node_window())
         with pytest.raises(LevelMismatchError):
-            channel_on_publish(fresh_channel(level=2), system, now_us=0)
+            publish(fresh_channel(level=2), system, now_us=0)
 
     def test_report_at_or_above_channel_level_rejected(self):
         intermediate = flushed(fresh_channel(level=1), node_window())
         with pytest.raises(LevelMismatchError):
-            channel_on_publish(fresh_channel(level=1), intermediate, now_us=0)
+            publish(fresh_channel(level=1), intermediate, now_us=0)
         # but it fits one level up
-        channel_on_publish(fresh_channel(level=2), intermediate, now_us=0)
+        publish(fresh_channel(level=2), intermediate, now_us=0)
 
     def test_publish_after_missed_flush_is_a_bug(self):
         channel = fresh_channel(level=1, hold_s=30)
         with pytest.raises(RuntimeError, match="has not run"):
-            channel_on_publish(channel, node_window(), now_us=30 * SECOND)
+            publish(channel, node_window(), now_us=30 * SECOND)
+
+    def test_batch_windows_land_in_their_channels(self):
+        channels = ChannelLevel(["ch-1-000", "ch-1-001", "ch-1-002"], 1, 30 * SECOND)
+        a, b, c = node_window(0), node_window(1), node_window(2)
+        channel_publish(channels, [(2, a), (0, b), (2, c)], now_us=SECOND)
+        assert channels.buffers == [[b], [], [a, c]]
+
+    def test_rejected_batch_buffers_nothing(self):
+        channels = ChannelLevel(["ch-2-000", "ch-2-001"], 2, 30 * SECOND)
+        system = flushed(fresh_channel(level=1, top=True), node_window())
+        with pytest.raises(LevelMismatchError):
+            channel_publish(channels, [(0, system), (1, system)], now_us=0)
+        with pytest.raises(RuntimeError, match="has not run"):
+            channel_publish(channels, [(1, node_window()), (0, node_window())], now_us=30 * SECOND)
+        assert channels.buffers == [[], []]
 
 
 class TestChannelFlush:
     def test_window_merges_to_single_intermediate(self):
         channel = fresh_channel(level=1)
         for i in range(3):
-            channel_on_publish(channel, node_window(i), now_us=i)
-        out = channel_flush(channel, now_us=30 * SECOND)
+            publish(channel, node_window(i), now_us=i)
+        out = flushed_window(channel, now_us=30 * SECOND)
         assert out is not None
         assert out.kind is LevelKind.INTERMEDIATE and out.level == 1
         assert len(window_leaves(out)) == 3
-        assert channel.buffer == []
+        assert channel.buffers[0] == []
 
     def test_children_keep_arrival_order(self):
         out = flushed(fresh_channel(level=1), node_window(2), node_window(0), node_window(1))
@@ -196,13 +260,23 @@ class TestChannelFlush:
 
     def test_empty_window_still_advances_schedule(self):
         channel = fresh_channel(level=1, hold_s=30)
-        assert channel_flush(channel, now_us=30 * SECOND) is None
+        assert flushed_window(channel, now_us=30 * SECOND) is None
         assert channel.next_flush_us == 60 * SECOND
 
     def test_top_level_emits_system_kind(self):
         inner = flushed(fresh_channel(level=1), node_window())
         out = flushed(fresh_channel(level=2, top=True), inner)
         assert out is not None and out.kind is LevelKind.SYSTEM and out.level == 2
+
+    def test_flush_covers_every_channel_in_index_order(self):
+        channels = ChannelLevel(["ch-1-000", "ch-1-001", "ch-1-002"], 1, 30 * SECOND)
+        channel_publish(channels, [(2, node_window(4)), (0, node_window(1))], now_us=0)
+        out = channel_flush(channels, 30 * SECOND)
+        assert [(j, window.source, window.children[0].source) for j, window in out] == [
+            (0, "ch-1-000", "m-0002"),
+            (2, "ch-1-002", "m-0005"),
+        ]
+        assert channels.buffers == [[], [], []]
 
     def test_flush_at_wrong_time_rejected(self):
         channel = fresh_channel(level=1, hold_s=30)
@@ -211,8 +285,8 @@ class TestChannelFlush:
 
     def test_source_and_timestamp_stamped(self):
         channel = fresh_channel(level=1)
-        channel_on_publish(channel, node_window(), now_us=5)
-        out = channel_flush(channel, now_us=30 * SECOND)
+        publish(channel, node_window(), now_us=5)
+        out = flushed_window(channel, now_us=30 * SECOND)
         assert out.source == "ch-1-01"
         assert out.generated_at_ms == 30_000
 
@@ -238,13 +312,13 @@ class TestWindowPartition:
         )
         for at, _, key in clock_events:
             if key is None:
-                out = channel_flush(channel, at)
+                out = flushed_window(channel, at)
                 if out is not None:
                     flushed_children.extend(out.children)
             else:
-                channel_on_publish(channel, windows[key], at)
+                publish(channel, windows[key], at)
         # Arrivals at exactly 120s stay buffered for the 5th window.
-        leftover = list(channel.buffer)
+        leftover = list(channel.buffers[0])
         assert sorted(
             w.generated_at_ms for w in flushed_children + leftover
         ) == sorted(w.generated_at_ms for w in windows.values())
@@ -252,7 +326,7 @@ class TestWindowPartition:
     def test_boundary_arrival_goes_to_next_window(self):
         hold = 30 * SECOND
         channel = fresh_channel(level=1, hold_s=30)
-        assert channel_flush(channel, hold) is None
-        channel_on_publish(channel, node_window(), now_us=hold)
-        out = channel_flush(channel, 2 * hold)
+        assert flushed_window(channel, hold) is None
+        publish(channel, node_window(), now_us=hold)
+        out = flushed_window(channel, 2 * hold)
         assert out is not None and len(window_leaves(out)) == 1

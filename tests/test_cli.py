@@ -486,6 +486,22 @@ def test_calibrate_unstable_keeps_samples(capsys, tmp_path, monkeypatch):
     assert float(rows[0]["size_kb"]) == 0.5
 
 
+def test_calibrate_names_clamped_fits(capsys, tmp_path, monkeypatch):
+    from hiermon import cli
+    from hiermon.loadmodel import CostSample
+
+    # parse costs fall on a line through -1 ms at 0 kB: a negative intercept
+    samples = [CostSample(s, -1e-3 + 1e-3 * s, 1e-5 + 1e-6 * s, 1e-6 * s) for s in (0.5, 5, 25)]
+    monkeypatch.setattr(cli, "measure_costs", lambda sizes, reps: samples)
+    with pytest.warns(UserWarning, match="parse fit produced a negative term"):
+        code, out, _ = run_cli(
+            capsys, "--out", str(tmp_path), "calibrate", "--sizes", "0.5,5,25", "--reps", "30"
+        )
+    assert code == 0
+    assert "clamped: parse\n" in out
+    assert "parse_fixed_s=0.0\n" in (tmp_path / "coefficients.txt").read_text()
+
+
 # --- sweep command -------------------------------------------------------------
 
 

@@ -271,6 +271,7 @@ class TestFit:
         assert coeffs.calibrated is True
         assert report.parse_residual_s < 1e-12
         assert report.aggregate_residual_s < 1e-12
+        assert report.clamped == ()
 
     def test_two_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -286,8 +287,20 @@ class TestFit:
             for s in (0.5, 5.0, 25.0)
         ]
         with pytest.warns(UserWarning, match="clamp"):
-            coeffs, _ = fit(samples)
+            coeffs, report = fit(samples)
         assert coeffs.parse_s_per_kb <= 1e-12
+        assert report.clamped == ("parse",)
+
+    def test_negative_intercept_clamped_and_reported(self):
+        samples = [
+            CostSample(size_kb=s, parse_s=0.01, serialize_s=-0.002 + 0.001 * s, aggregate_s=0.001)
+            for s in (0.5, 5.0, 25.0)
+        ]
+        with pytest.warns(UserWarning, match="serialize fit produced a negative term"):
+            coeffs, report = fit(samples)
+        assert coeffs.serialize_fixed_s == 0.0
+        assert coeffs.serialize_s_per_kb == pytest.approx(0.001)
+        assert report.clamped == ("serialize",)
 
     def test_calibrated_model_predicts_measured_costs(self):
         samples = measure_costs([0.5, 5.0, 25.0, 50.0], repetitions=30)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import statistics
 import tracemalloc
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from hiermon.loadmodel import (
     hierarchy_timings,
     level_report_sizes_kb,
 )
-from hiermon.model import HierarchyConfig
+from hiermon.model import HierarchyConfig, LatencyBound, machines_total
 from hiermon.report import iter_leaves, measure, parse, serialize
 from hiermon.sim import (
+    LosslessnessReport,
     SimConfig,
     check_losslessness,
     check_staleness,
@@ -147,6 +150,22 @@ PINNED_OUTPUTS = {
         "7233b8675f596aa92a258a9281657dad226d8d8fd6b17f8f9dc373df05a1d266",
         "ca7f404cb06e9707d1abe30c566385ab46eee851376013f7c78b30fe65ba6d8f",
     ),
+    # hold[0] 3 s over a 2 s period: window shapes alternate with start % period
+    "residues": (
+        HierarchyConfig.from_seconds(2, [2, 3, 2], [3, 4, 6], 2),
+        2,
+        0.9,
+        "bdf1fd308a316ac9e83443c94a1bfe08dbe7cb7ff8566cf63fd25c91c69da75d",
+        "b9dc4b6b65aadd6b087002eb29c55c7e2c1619ebd2d2b45fc1b7dc23cef05e91",
+    ),
+    # hold[0] 1 s under a 3 s period: empty windows, windows before a first tick
+    "sparse": (
+        HierarchyConfig.from_seconds(2, [2, 2, 3], [1, 3, 4], 3),
+        5,
+        0.9,
+        "267197fa7b0f1469104d8370decef4d578de7764eebfaffb5a01ebeece8a03ad",
+        "20718053d58b05776483e4360af3f61e09321e82e6e0cc2e485435406c632385",
+    ),
 }
 
 
@@ -158,6 +177,41 @@ def test_fixed_seed_outputs_are_pinned(tmp_path, tree):
     write_machines_csv(tmp_path / "machines.csv", trace)
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
     assert hashlib.sha256((tmp_path / "machines.csv").read_bytes()).hexdigest() == machines_sha
+
+
+def enumerated_published(config: SimConfig) -> set:
+    """Every leaf a sensor flushes, from tick phases redrawn the way `run` draws them."""
+    hierarchy = config.hierarchy
+    period, hold = hierarchy.service_period_us, hierarchy.hold_us[0]
+    rng = Random(config.seed)
+    published = set()
+    for machine in range(machines_total(hierarchy)):
+        for service in range(hierarchy.fanout[0]):
+            phase = round(rng.random() * config.jitter_fraction * period)
+            freshest = {}  # window index -> the window's latest tick
+            for at in range(phase, config.duration_us, period):
+                if (at // hold + 1) * hold <= config.duration_us:
+                    freshest[at // hold] = at
+            published.update((machine, service, at) for at in freshest.values())
+    return published
+
+
+def multiset_audit(trace) -> tuple[LosslessnessReport, int]:
+    """The losslessness audit and the repeated root leaves, by counting every root window."""
+    hierarchy = trace.config.hierarchy
+    horizon = (
+        trace.config.duration_us - trace.analytic_bound.micros - hierarchy.hold_us[hierarchy.depth]
+    )
+    published = enumerated_published(trace.config)
+    counted = Counter(leaf for window in trace.system_reports for leaf in window_leaves(window))
+    covered = [leaf for leaf in published if leaf[2] <= horizon]
+    report = LosslessnessReport(
+        published=len(published),
+        covered=len(covered),
+        missing=sum(1 for leaf in covered if counted[leaf] == 0),
+        duplicated=sum(1 for count in counted.values() if count > 1),
+    )
+    return report, sum(count - 1 for count in counted.values())
 
 
 class TestAgainstModel:
@@ -172,10 +226,14 @@ class TestAgainstModel:
         assert check_staleness(trace)
 
     def test_root_leaves_match_published_multiset_exactly(self):
-        trace = run(small_three_level())
-        seen = [leaf for window in trace.system_reports for leaf in window_leaves(window)]
-        assert len(seen) == len(set(seen))
-        assert set(seen) <= set(trace.published)
+        for config in (small_three_level(), small_three_level(seed=3, jitter_fraction=0.5)):
+            trace = run(config)
+            seen = [leaf for window in trace.system_reports for leaf in window_leaves(window)]
+            assert len(seen) == len(set(seen))
+            assert set(seen) <= enumerated_published(config)
+            report, repeated = multiset_audit(trace)
+            assert report.ok and report.covered > 0 and repeated == 0
+            assert check_losslessness(trace) == report
 
     def test_adversarial_phasing_is_tight(self):
         hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], [10, 10, 10], 10)
@@ -236,8 +294,60 @@ def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
     trace = run(config)
     assert verify_against_model(trace).bound_respected
     assert check_losslessness(trace).ok
+    assert check_losslessness(trace) == multiset_audit(trace)[0]
     assert trace.unmatched_leaves == 0
     assert check_staleness(trace)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("fault", ["repeat", "drop"])
+def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
+    """A channel level that repeats or drops one child window is caught, and counted exactly."""
+    original = sim.channel_flush
+    faults = []
+
+    def faulty_flush(channels, now_us):
+        out = original(channels, now_us)
+        if channels.level == level and out and not faults:
+            j, window = out[0]
+            children = window.children
+            children = children + children[:1] if fault == "repeat" else children[1:]
+            out[0] = (j, window._replace(children=children))
+            faults.append(now_us)
+        return out
+
+    monkeypatch.setattr(sim, "channel_flush", faulty_flush)
+    trace = run(small_three_level(seed=5, jitter_fraction=0.5))
+    assert faults
+    report, repeated = multiset_audit(trace)
+    assert check_losslessness(trace) == report
+    assert not report.ok
+    # a repeat below the root reaches it as leaves no longer in flight
+    assert trace.unmatched_leaves == (repeated if level < 3 else 0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_three_level(seed=5, jitter_fraction=0.5),  # covered leaves still in flight
+        # root flushes at 4 s steps to 24 s, and level 1 at 24 s sends leaves of
+        # [21, 22) s to the root before the run ends at 26 s
+        SimConfig.build(
+            HierarchyConfig.from_seconds(2, [1, 2, 2], [1, 3, 4], 1), duration_s=26, seed=3,
+            jitter_fraction=0.9,
+        ),
+    ],
+    ids=["in-flight", "late"],
+)
+def test_audit_counts_missing_leaves_for_an_understated_bound(monkeypatch, config):
+    """With the bound understated, covered leaves miss the root's last flush."""
+    monkeypatch.setattr(sim, "propagation_time", lambda *args: LatencyBound(SECOND // 2))
+    trace = run(config)
+    assert not verify_against_model(trace).bound_respected
+    report, repeated = multiset_audit(trace)
+    assert report.missing > 0 and repeated == 0
+    assert check_losslessness(trace) == report
+    assert trace.unmatched_leaves == 0
 
 
 class TestEdgeReports:

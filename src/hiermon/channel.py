@@ -4,11 +4,11 @@ Every member of a level shares its hold and flush schedule, so one object
 carries a whole level and one call flushes it.  A sensor level holds each
 machine's service phases: services tick at ``phase + k * period``, so a
 flush computes each machine's window from the phases instead of recording
-ticks, and reuses window shapes that recur (see `SensorLevel`).  A channel
-level buffers whatever the level below publishes into it and, once per hold
-window, merges each channel's buffer into a single window that the
-forwarder republishes one level up.  The top-level channel emits system
-windows instead.
+ticks, and reuses the window shapes of a steady schedule (see
+`SensorLevel`).  A channel level buffers whatever the level below publishes
+into it and, once per hold window, merges each channel's buffer into a
+single window that the forwarder republishes one level up.  The top-level
+channel emits system windows instead.
 
 A flush returns ``[(member index, window), …]`` for its non-empty windows,
 in index order.  Windows carry leaf keys, not report payloads, and list
@@ -22,7 +22,6 @@ must never be shared mutably across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from hiermon.report import LevelKind, LevelMismatchError
@@ -73,28 +72,25 @@ class SensorLevel:
 
     Once a window opens at or after ``settled_us`` (one period, or the latest
     phase if later) every service has ticked, so a machine's window shape
-    depends only on the window start modulo the period.  A flush looks its
-    shapes up by ``start`` before that and by ``settled_us + start % period``
-    after it.  Shapes are kept only for keys that come back by ``until_us``,
-    the last flush instant of the run: at most ``period / gcd(hold, period)``
-    keys, each holding one shape per machine.
+    depends only on the window start modulo the period.  When the hold is a
+    multiple of the period every such window starts on the same residue: the
+    first of them keeps its shapes in ``steady_shapes`` and later flushes
+    reuse them.  Any other hold computes every window afresh and keeps
+    nothing between flushes, so memory never grows with the residues.
     """
 
     machine_ids: Sequence[str]
     phases: Sequence[tuple[int, ...]]  # per machine, first tick µs per service index
     period_us: int
     hold_us: int
-    until_us: int
     next_flush_us: int = -1
     settled_us: int = field(init=False)
-    cycle_us: int = field(init=False)  # flush instants this far apart share a key
-    shapes: dict[int, list[tuple[tuple[int, int], ...]]] = field(init=False, default_factory=dict)
+    steady_shapes: list[tuple[tuple[int, int], ...]] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.next_flush_us < 0:
             self.next_flush_us = self.hold_us
         self.settled_us = max(self.period_us, max(map(max, self.phases), default=0))
-        self.cycle_us = lcm(self.hold_us, self.period_us)
 
 
 def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, Window]]:
@@ -109,22 +105,17 @@ def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, Window]]:
         )
     start = now_us - sensors.hold_us
     sensors.next_flush_us += sensors.hold_us
-    settled = sensors.settled_us
-    key = start if start < settled else settled + start % sensors.period_us
-    shapes = sensors.shapes.get(key)
+    shapes = sensors.steady_shapes
     if shapes is None:
         period = sensors.period_us
         shapes = [window_shape(phases, period, start, now_us) for phases in sensors.phases]
-        if start >= settled and now_us + sensors.cycle_us <= sensors.until_us:
-            sensors.shapes[key] = shapes
+        if start >= sensors.settled_us and sensors.hold_us % period == 0:
+            sensors.steady_shapes = shapes
     ids = sensors.machine_ids
     at_ms = now_us // 1000
     node = LevelKind.NODE
-    new_window = tuple.__new__  # builds a Window without its Python-level __new__
     return [
-        (m, new_window(Window, (
-            node, 0, ids[m], at_ms, tuple([(m, s, start + offset) for s, offset in shape])
-        )))
+        (m, Window(node, 0, ids[m], at_ms, tuple([(m, s, start + offset) for s, offset in shape])))
         for m, shape in enumerate(shapes)
         if shape
     ]

@@ -36,7 +36,10 @@ window holds exactly what arrived since the previous root flush, each root
 leaf arrived once and was published, so nothing is duplicated and a covered
 leaf is missing exactly when it is still in flight or reached the root after
 its last flush.  Otherwise the audit replays the sensor flushes and counts
-the root windows' leaves, as a full multiset comparison would.
+the root windows' leaves, as a full multiset comparison would.  That replay
+runs only on an internally inconsistent trace, one whose channels repeat,
+drop or invent a window's children (the fault tests patch `channel_flush` to
+do so); a run of this module's own code never takes it.
 
 Determinism contract: one `Random(seed)` instance draws the tick phases
 before the loop starts and nothing else; the loop carries leaf keys, and
@@ -222,7 +225,7 @@ def run(config: SimConfig) -> SimTrace:
     phases = [  # drawn machine by machine, then service by service
         tuple(round(rng.random() * jitter * period_us) for _ in range(services)) for _ in machine_ids
     ]
-    sensors = SensorLevel(machine_ids, phases, period_us, hierarchy.hold_us[0], config.duration_us)
+    sensors = SensorLevel(machine_ids, phases, period_us, hierarchy.hold_us[0])
     service_ids = [[_service_label(mid, j) for j in range(services)] for mid in machine_ids]
     levels: list = [sensors] + [
         ChannelLevel(channel_ids[level], level, hierarchy.hold_us[level], top_level=level == depth)
@@ -255,7 +258,6 @@ def run(config: SimConfig) -> SimTrace:
     system_reports: list[Window] = []
     root_flush_times: list[int] = []
     counts: Counter = Counter()  # heap key -> events run
-    new_record = tuple.__new__  # builds a DeliveryRecord without its Python-level __new__
 
     while heap:
         now, kind, level, batch = heappop(heap)
@@ -271,9 +273,9 @@ def run(config: SimConfig) -> SimTrace:
                         in_flight.difference_update(leaves)
                         if before - len(in_flight) == len(leaves):
                             deliveries += [
-                                new_record(DeliveryRecord, (
+                                DeliveryRecord(
                                     service_ids[m][s], emitted, now, now - emitted, level_paths[m]
-                                ))
+                                )
                                 for m, s, emitted in leaves
                             ]
                             continue
@@ -315,7 +317,9 @@ def run(config: SimConfig) -> SimTrace:
             push(now + hop_us[level], _ARRIVAL, level + 1, [(j // fanout, out) for j, out in outs])
 
     if unmatched or not root_windows_faithful:
-        losslessness = _recount_losslessness(sensors, system_reports, horizon, published, covered)
+        losslessness = _recount_losslessness(
+            sensors, config.duration_us, system_reports, horizon, published, covered
+        )
     else:
         last_root_flush = root_flush_times[-1] if root_flush_times else 0
         late = 0  # covered leaves that reached the root after its last flush
@@ -348,11 +352,19 @@ def run(config: SimConfig) -> SimTrace:
 
 
 def _recount_losslessness(
-    sensors: SensorLevel, system_reports: list[Window], horizon: int, published: int, covered: int
+    sensors: SensorLevel,
+    duration_us: int,
+    system_reports: list[Window],
+    horizon: int,
+    published: int,
+    covered: int,
 ) -> LosslessnessReport:
-    """The audit by multisets: replay every sensor flush and count the root windows' leaves."""
-    replay = SensorLevel(sensors.machine_ids, sensors.phases, sensors.period_us, sensors.hold_us, 0)
-    flush_times = range(sensors.hold_us, sensors.until_us + 1, sensors.hold_us)
+    """The audit by multisets: replay every sensor flush and count the root windows' leaves.
+
+    Only an internally inconsistent trace gets here (see the module docstring).
+    """
+    replay = SensorLevel(sensors.machine_ids, sensors.phases, sensors.period_us, sensors.hold_us)
+    flush_times = range(sensors.hold_us, duration_us + 1, sensors.hold_us)
     counted = Counter(leaf for window in system_reports for leaf in window_leaves(window))
     missing = sum(
         1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import gcd
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +20,7 @@ from hiermon.report import LevelKind, LevelMismatchError
 SECOND = 1_000_000
 
 
-def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0, until_s=100):
+def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0):
     """A sensor level of ``machine + 1`` machines ticking alike; `flushed_node` reads the last."""
     phases = tuple(round(phase * SECOND) for phase in phases_s)
     return SensorLevel(
@@ -30,7 +28,6 @@ def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0, until_s=100
         phases=[phases] * (machine + 1),
         period_us=round(period_s * SECOND),
         hold_us=hold_s * SECOND,
-        until_us=until_s * SECOND,
     )
 
 
@@ -62,7 +59,6 @@ def node_window(machine=0, emitted_us=0):
         phases=[(emitted_us,)] * (machine + 1),
         period_us=SECOND,
         hold_us=SECOND,
-        until_us=0,
         next_flush_us=emitted_us + 1,
     )
     return flushed_node(sensors, emitted_us + 1)
@@ -149,7 +145,7 @@ class TestSensor:
 
     def test_flush_covers_every_machine_in_index_order(self):
         phases = [(1,), (SECOND + 5,), (2,)]
-        sensors = SensorLevel(["m-0001", "m-0002", "m-0003"], phases, 2 * SECOND, SECOND, 0)
+        sensors = SensorLevel(["m-0001", "m-0002", "m-0003"], phases, 2 * SECOND, SECOND)
         windows = sensor_flush(sensors, SECOND)
         assert [(m, window.source, window.children) for m, window in windows] == [
             (0, "m-0001", ((0, 0, 1),)),
@@ -158,38 +154,40 @@ class TestSensor:
 
     @given(
         st.lists(st.integers(0, 60), min_size=1, max_size=6),
-        st.integers(1, 12),
+        st.integers(1, 20),
         st.integers(1, 30),
         st.integers(1, 16),
     )
     def test_window_matches_brute_force_enumeration(self, phases, period, hold, flushes):
-        """Every window, computed or reused across residues, equals direct enumeration."""
+        """Every window, computed or reused from a steady schedule, equals direct enumeration."""
         until = flushes * hold
         machines = [tuple(phases), tuple(reversed(phases))]
-        sensors = SensorLevel(["m-0001", "m-0002"], machines, period, hold, until)
+        sensors = SensorLevel(["m-0001", "m-0002"], machines, period, hold)
         for now in range(hold, until + 1, hold):
             windows = dict(sensor_flush(sensors, now))
             for m, machine_phases in enumerate(machines):
                 window = windows.get(m)
                 got = [] if window is None else [(s, at) for _, s, at in window.children]
                 assert got == brute_force_window(machine_phases, period, hold, now)
-        assert len(sensors.shapes) <= period // gcd(period, hold)
+        settled_flush = until - hold >= sensors.settled_us
+        kept = sensors.steady_shapes is not None
+        assert kept == (settled_flush and hold % period == 0)
 
     @pytest.mark.parametrize(
         "hold_us, period_us, until_us, kept",
         [
-            (2, 2, 18, [2]),  # hold = period: one steady shape; the first window is never kept
-            (3, 2, 30, [2, 3]),  # shapes alternate with start % period
-            (3, 2, 9, []),  # start 3 recurs at 9 + 6 > until: not kept
-            (1, 3, 12, [3, 4, 5]),  # windows opening before one period never recur
-            (1001, 2000, 9009, []),  # residues recur only after lcm(hold, period) = 2 002 000
+            (2, 2, 18, True),  # hold = period: one steady shape per machine
+            (4, 2, 20, True),  # every window starts on the same residue
+            (2, 2, 2, False),  # the first window opens before one period: never kept
+            (3, 2, 30, False),  # shapes alternate with start % period
+            (1, 3, 12, False),  # three residues
         ],
     )
-    def test_shapes_are_kept_only_for_keys_that_recur(self, hold_us, period_us, until_us, kept):
-        sensors = SensorLevel(["m-0001"], [(0, 1)], period_us, hold_us, until_us)
+    def test_shapes_are_kept_only_for_a_steady_schedule(self, hold_us, period_us, until_us, kept):
+        sensors = SensorLevel(["m-0001"], [(0, 1)], period_us, hold_us)
         for now in range(hold_us, until_us + 1, hold_us):
             sensor_flush(sensors, now)
-        assert sorted(sensors.shapes) == kept
+        assert (sensors.steady_shapes is not None) == kept
 
 
 class TestChannelPublish:

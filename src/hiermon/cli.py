@@ -333,7 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"duration_s: {sim_config.duration_us / 1e6:.6f}")
     print(f"seed: {seed}")
     print(f"coefficients: {_coeffs_label(coeffs, args)}")
-    print(f"deliveries: {len(trace.deliveries)}")
+    print(f"deliveries: {trace.delivered}")
     print(f"events: {sum(trace.event_counts.values())}")
     print(f"max_observed_propagation_s: {trace.max_observed_prop_us / 1e6:.6f}")
     print(f"analytic_bound_s: {_fmt_seconds(trace.analytic_bound)}")

@@ -14,11 +14,8 @@ import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator, Sequence
-from xml.sax.saxutils import escape
 
 REFERENCE_NODE_REPORT_BYTES = 512
-
-_ATTR_ENTITIES = {'"': "&quot;"}
 
 
 class ReportError(Exception):
@@ -170,7 +167,10 @@ def _fmt(value: float) -> str:
 
 
 def _attr(value: str) -> str:
-    return escape(value, _ATTR_ENTITIES)
+    """Escape an attribute value: ``&`` first, so no entity is escaped twice."""
+    return (
+        value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    )
 
 
 def _write_service_report(sr: ServiceReport, out: list[str]) -> None:

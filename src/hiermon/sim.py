@@ -27,19 +27,35 @@ gets at most one batch per instant.  Members of one level therefore act in
 index order, the order per-member events with a push-sequence tie-break
 would run in, and each channel buffers its children in source order.
 
+Arrival log.  The run's output is a log of root arrivals, not one object per
+delivered leaf: each window reaching the root appends ``(now, leaves)`` to
+`SimTrace.arrivals`, where ``leaves`` holds the window's leaves that were in
+flight.  `SimTrace.deliveries` builds `DeliveryRecord`s from that log on
+demand; the run, the audit, the CSV export, `check_staleness` and the
+``simulate`` command never do.
+
 Streaming audit.  Leaves in flight (published by a sensor, not yet at the
 root) are the only leaves the loop keeps in a set.  Sensor flushes count
 published and covered leaves; a window reaching the root takes its leaves out
-of the set and becomes delivery records in one pass.  A leaf that is not in
-flight is counted as unmatched.  When no leaf was unmatched and every root
-window holds exactly what arrived since the previous root flush, each root
-leaf arrived once and was published, so nothing is duplicated and a covered
-leaf is missing exactly when it is still in flight or reached the root after
-its last flush.  Otherwise the audit replays the sensor flushes and counts
-the root windows' leaves, as a full multiset comparison would.  That replay
-runs only on an internally inconsistent trace, one whose channels repeat,
-drop or invent a window's children (the fault tests patch `channel_flush` to
-do so); a run of this module's own code never takes it.
+of the set and joins the arrival log in one pass.  A leaf that is not in
+flight is counted as unmatched and left out of the log.  When no leaf was
+unmatched and every root window holds exactly what arrived since the previous
+root flush, each root leaf arrived once and was published, so nothing is
+duplicated and a covered leaf is missing exactly when it is still in flight
+or reached the root after its last flush.  Otherwise the audit replays the
+sensor flushes and counts the root windows' leaves, as a full multiset
+comparison would.  That replay runs only on an internally inconsistent
+trace, one whose channels repeat, drop or invent a window's children (the
+fault tests patch `channel_flush` to do so); a run of this module's own code
+never takes it.
+
+Collector pause.  `run` pauses the cyclic garbage collector and restores the
+caller's setting when it returns or raises.  Every window, leaf list and
+arrival entry the run keeps is GC-tracked, so each full collection would walk
+all of them again, and at host scale those walks took half the run.  Nothing
+is lost by the pause: the loop builds only tuples, lists and sets whose
+contents never refer back to them, so it makes no reference cycles and
+reference counting frees everything it discards.
 
 Determinism contract: one `Random(seed)` instance draws the tick phases
 before the loop starts and nothing else; the loop carries leaf keys, and
@@ -49,15 +65,16 @@ produce identical traces, byte for byte, when exported.
 
 from __future__ import annotations
 
-import csv
 import enum
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
+from operator import itemgetter
 from pathlib import Path
 from random import Random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from hiermon.channel import (
     ChannelLevel,
@@ -148,7 +165,10 @@ class DeliveryRecord(NamedTuple):
 @dataclass
 class SimTrace:
     config: SimConfig
-    deliveries: list[DeliveryRecord]
+    arrivals: list[tuple[int, Sequence[Leaf]]]  # (root arrival µs, delivered leaves)
+    delivered: int  # leaves in `arrivals`
+    service_ids: list[list[str]]  # [machine][service] -> label
+    level_paths: list[tuple[str, ...]]  # [machine] -> channel ids, level 1 to the root
     machines: list[tuple[str, int, float]]  # (id, level, utilization)
     max_observed_prop_us: int
     analytic_bound: LatencyBound
@@ -158,6 +178,16 @@ class SimTrace:
     unmatched_leaves: int  # root arrivals of leaves that were not in flight
     losslessness: LosslessnessReport
     event_counts: Counter
+
+    @property
+    def deliveries(self) -> list[DeliveryRecord]:
+        """One record per delivered leaf, in arrival order, built from `arrivals` on each call."""
+        service_ids, level_paths = self.service_ids, self.level_paths
+        return [
+            DeliveryRecord(service_ids[m][s], emitted, now, now - emitted, level_paths[m])
+            for now, leaves in self.arrivals
+            for m, s, emitted in leaves
+        ]
 
 
 @dataclass(frozen=True)
@@ -187,12 +217,26 @@ def _service_label(machine_id: str, service: int) -> str:
     return f"{machine_id}.s{service}"
 
 
+_EMITTED = itemgetter(2)
+
+
 def run(config: SimConfig) -> SimTrace:
     """Execute one simulation; see the module docstring for the event rules.
 
-    Raises :class:`ValueError` naming the saturated levels when the load
-    model puts any channel level at utilization 1 or above.
+    The cyclic collector is paused while the run lasts (see the module
+    docstring).  Raises :class:`ValueError` naming the saturated levels when
+    the load model puts any channel level at utilization 1 or above.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(config)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(config: SimConfig) -> SimTrace:
     hierarchy = config.hierarchy
     depth = hierarchy.depth
     loads = hierarchy_loads(hierarchy, config.coeffs)
@@ -250,7 +294,7 @@ def run(config: SimConfig) -> SimTrace:
     for level in range(1, depth + 1):
         push(hierarchy.hold_us[level], _CHANNEL_FLUSH, level)
 
-    deliveries: list[DeliveryRecord] = []
+    arrivals: list[tuple[int, Sequence[Leaf]]] = []
     in_flight: set[Leaf] = set()
     published = covered = unmatched = 0
     root_arrivals: list[Window] = []  # since the last root flush
@@ -272,24 +316,19 @@ def run(config: SimConfig) -> SimTrace:
                         before = len(in_flight)
                         in_flight.difference_update(leaves)
                         if before - len(in_flight) == len(leaves):
-                            deliveries += [
-                                DeliveryRecord(
-                                    service_ids[m][s], emitted, now, now - emitted, level_paths[m]
-                                )
-                                for m, s, emitted in leaves
-                            ]
+                            arrivals.append((now, leaves))
                             continue
                         in_flight.update(leaves)  # a leaf repeats in this window: undo
+                    matched = []
                     for leaf in leaves:
                         try:
                             in_flight.remove(leaf)
                         except KeyError:
                             unmatched += 1
                             continue
-                        m, s, emitted = leaf
-                        deliveries.append(DeliveryRecord(
-                            service_ids[m][s], emitted, now, now - emitted, level_paths[m]
-                        ))
+                        matched.append(leaf)
+                    if matched:
+                        arrivals.append((now, matched))
             channel_publish(levels[level], batch, now)
             continue
 
@@ -323,10 +362,10 @@ def run(config: SimConfig) -> SimTrace:
     else:
         last_root_flush = root_flush_times[-1] if root_flush_times else 0
         late = 0  # covered leaves that reached the root after its last flush
-        for record in reversed(deliveries):
-            if record.arrived_root_at_us < last_root_flush:
+        for now, leaves in reversed(arrivals):
+            if now < last_root_flush:
                 break
-            late += record.emitted_at_us <= horizon
+            late += sum(1 for leaf in leaves if leaf[2] <= horizon)
         missing = late + sum(1 for leaf in in_flight if leaf[2] <= horizon)
         losslessness = LosslessnessReport(published, covered, missing, 0)
 
@@ -338,9 +377,15 @@ def run(config: SimConfig) -> SimTrace:
 
     return SimTrace(
         config=config,
-        deliveries=deliveries,
+        arrivals=arrivals,
+        delivered=sum(len(leaves) for _, leaves in arrivals),
+        service_ids=service_ids,
+        level_paths=level_paths,
         machines=machines,
-        max_observed_prop_us=max((d.propagation_us for d in deliveries), default=0),
+        max_observed_prop_us=max(  # a faulty channel can forward an empty window
+            (now - min(map(_EMITTED, leaves)) for now, leaves in arrivals if leaves),
+            default=0,
+        ),
         analytic_bound=bound,
         staleness_bound=stale_bound,
         system_reports=system_reports,
@@ -387,10 +432,17 @@ def verify_against_model(trace: SimTrace) -> ModelCheck:
 
 
 def check_staleness(trace: SimTrace) -> bool:
-    """Every delivered leaf's age on root arrival stays within the staleness bound."""
+    """Every delivered leaf's age on root arrival stays within the staleness bound.
+
+    A leaf's age is its propagation plus one service period, so the oldest
+    delivery decides: this is ``all(d.propagation_us + period <= limit for d
+    in trace.deliveries)`` without building the records.  With no deliveries
+    both read true, since `model.staleness_time` is the propagation bound
+    plus the service period and so never below the period.
+    """
     limit = trace.staleness_bound.micros
     period = trace.config.hierarchy.service_period_us
-    return all(d.propagation_us + period <= limit for d in trace.deliveries)
+    return trace.max_observed_prop_us + period <= limit
 
 
 def check_losslessness(trace: SimTrace) -> LosslessnessReport:
@@ -429,17 +481,21 @@ def window_report(window: Window, service_period_s: float) -> Report:
 
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
     """CSV rows as `csv.writer` would write them; service ids never need quoting."""
+    service_ids = trace.service_ids
     with open(path, "w", newline="") as handle:
         handle.write("service_id,emitted_at_us,arrived_root_at_us,propagation_us\r\n")
         handle.writelines(
-            f"{service_id},{emitted},{arrived},{propagation}\r\n"
-            for service_id, emitted, arrived, propagation, _ in trace.deliveries
+            f"{service_ids[m][s]},{emitted},{now},{now - emitted}\r\n"
+            for now, leaves in trace.arrivals
+            for m, s, emitted in leaves
         )
 
 
 def write_machines_csv(path: Path | str, trace: SimTrace) -> None:
+    """CSV rows as `csv.writer` would write them; ids and float reprs never need quoting."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["channel_id", "level", "utilization"])
-        for machine_id, level, utilization in trace.machines:
-            writer.writerow([machine_id, level, repr(utilization)])
+        handle.write("channel_id,level,utilization\r\n")
+        handle.writelines(
+            f"{machine_id},{level},{utilization!r}\r\n"
+            for machine_id, level, utilization in trace.machines
+        )

@@ -7,8 +7,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: host_calibration is left out: it times this host and fails when the host is busy.
-DEMOS = ("capacity_sweep", "propagation_bounds", "report_pipeline", "simulation_vs_bounds")
+DEMOS = (
+    "capacity_sweep",
+    "host_calibration",
+    "propagation_bounds",
+    "report_pipeline",
+    "simulation_vs_bounds",
+)
 
 
 def test_demos_exit_zero(tmp_path):

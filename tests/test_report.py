@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hiermon import report
 from hiermon.report import (
     EmptyWindowError,
     LevelKind,
@@ -382,3 +388,25 @@ def test_synthetic_service_report_has_eight_metrics():
     report = synthetic_service_report()
     assert len(report.metrics) == 8
     assert len({name for name, _ in report.metrics}) == 8
+
+
+@given(st.text())
+def test_attribute_escape_matches_saxutils(value):
+    assert report._attr(value) == escape(value, {'"': "&quot;"})
+
+
+def test_cli_import_pulls_in_no_sax_or_url_modules():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, hiermon.cli; "
+        "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

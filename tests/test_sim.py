@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
 import statistics
 import tracemalloc
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermon import channel, report, sim
+from hiermon import channel, cli, report, sim
 from hiermon.channel import window_leaves
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
@@ -297,6 +299,18 @@ def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
     assert check_losslessness(trace) == multiset_audit(trace)[0]
     assert trace.unmatched_leaves == 0
     assert check_staleness(trace)
+    deliveries = trace.deliveries
+    assert trace.delivered == len(deliveries)
+    period = config.hierarchy.service_period_us
+    worst = trace.max_observed_prop_us
+    # the run's own bound, then limits just at and just below the oldest delivery
+    for limit in (trace.staleness_bound.micros, worst + period, worst + period - 1):
+        if not deliveries and limit < period:
+            continue  # no model bound is below the period (see check_staleness)
+        bounded = dataclasses.replace(trace, staleness_bound=LatencyBound(limit))
+        assert check_staleness(bounded) == all(
+            d.propagation_us + period <= limit for d in deliveries
+        )
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -375,6 +389,60 @@ class TestEdgeReports:
         trace = run(small_three_level(seed=4, jitter_fraction=0.5))
         assert trace.deliveries
         assert check_losslessness(trace).ok
+
+    @pytest.mark.parametrize("tree", sorted(PINNED_OUTPUTS))
+    def test_simulate_builds_no_delivery_records(self, monkeypatch, capsys, tmp_path, tree):
+        hierarchy, seed, jitter, trace_sha, machines_sha = PINNED_OUTPUTS[tree]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the simulate path must not build delivery records")
+
+        monkeypatch.setattr(sim, "DeliveryRecord", forbidden)
+        config_path = tmp_path / "tree.txt"
+        cli.write_config_file(config_path, hierarchy)
+        argv = ["simulate", "--config", str(config_path), "--seed", str(seed),
+                "--jitter", str(jitter), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+        assert hashlib.sha256((tmp_path / "machines.csv").read_bytes()).hexdigest() == machines_sha
+        rows = (tmp_path / "trace.csv").read_text().count("\n") - 1
+        assert f"deliveries: {rows}\n" in capsys.readouterr().out
+        trace = run(SimConfig.build(hierarchy, seed=seed, jitter_fraction=jitter))
+        with pytest.raises(AssertionError, match="delivery records"):
+            trace.deliveries  # the patch reaches the one place that builds records
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic collector set enabled or disabled for one test, restored afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    def test_run_pauses_the_collector_and_restores_it(self, monkeypatch, collector):
+        original = sim.channel_flush
+        during = []
+
+        def watched(channels, now_us):
+            during.append(gc.isenabled())
+            return original(channels, now_us)
+
+        monkeypatch.setattr(sim, "channel_flush", watched)
+        run(small_three_level())
+        assert during and not any(during)
+        assert gc.isenabled() is collector
+
+    def test_run_restores_the_collector_when_the_loop_raises(self, monkeypatch, collector):
+        def broken(channels, now_us):
+            raise RuntimeError("channel flush failed")
+
+        monkeypatch.setattr(sim, "channel_flush", broken)
+        with pytest.raises(RuntimeError, match="channel flush failed"):
+            run(small_three_level())
+        assert gc.isenabled() is collector
 
 
 class TestSaturation:

@@ -30,8 +30,7 @@ hierarchy = HierarchyConfig.from_seconds(2, [2, 6, 4], [2.0, 5.0, 5.0], 2.0)
 trace = run(SimConfig.build(hierarchy, coeffs=coeffs, seed=2024, jitter_fraction=0.5))
 
 print(f"simulated {trace.config.duration_us / 1e6:.0f}s, "
-      f"{len(trace.deliveries)} report deliveries, "
-      f"{len(trace.system_reports)} root windows")
+      f"{trace.delivered} report deliveries")
 
 check = verify_against_model(trace)
 print(f"worst observed propagation: {trace.max_observed_prop_us / 1e6:.3f}s")

@@ -41,10 +41,19 @@ class Window(NamedTuple):
 
 
 def window_leaves(window: Window) -> tuple[Leaf, ...] | list[Leaf]:
-    """Every leaf a window transitively contains, in depth-first order."""
+    """Every leaf a window transitively contains, in depth-first order.
+
+    Node children are read in place rather than through a call each: the
+    simulator walks each window that reaches the root twice, on arrival and
+    at the root flush.
+    """
     if window.level == 0:
         return window.children
-    return [leaf for child in window.children for leaf in window_leaves(child)]
+    return [
+        leaf
+        for child in window.children
+        for leaf in (child.children if child.level == 0 else window_leaves(child))
+    ]
 
 
 def window_shape(

@@ -104,13 +104,6 @@ class ReportSize:
     node_report_units: float
 
 
-def report_level(report: Report) -> int:
-    """Aggregation height of a report: 0 for node reports."""
-    if report.level_kind is LevelKind.NODE:
-        return 0
-    return 1 + max(report_level(child) for child in report.children)
-
-
 def iter_leaves(report: Report) -> Iterator[ServiceReport]:
     for child in report.children:
         if isinstance(child, ServiceReport):

@@ -29,29 +29,26 @@ would run in, and each channel buffers its children in source order.
 
 Arrival log.  The run's output is a log of root arrivals, not one object per
 delivered leaf: each window reaching the root appends ``(now, leaves)`` to
-`SimTrace.arrivals`, where ``leaves`` holds the window's leaves that were in
-flight.  `SimTrace.deliveries` builds `DeliveryRecord`s from that log on
-demand; the run, the audit, the CSV export, `check_staleness` and the
-``simulate`` command never do.
+`SimTrace.arrivals`.  `SimTrace.deliveries` builds `DeliveryRecord`s from
+that log on demand; the run, the audit, the CSV export, `check_staleness` and
+the ``simulate`` command never do.  The run keeps no window once the root has
+flushed it.
 
-Streaming audit.  Leaves in flight (published by a sensor, not yet at the
-root) are the only leaves the loop keeps in a set.  Sensor flushes count
-published and covered leaves; a window reaching the root takes its leaves out
-of the set and joins the arrival log in one pass.  A leaf that is not in
-flight is counted as unmatched and left out of the log.  When no leaf was
-unmatched and every root window holds exactly what arrived since the previous
-root flush, each root leaf arrived once and was published, so nothing is
-duplicated and a covered leaf is missing exactly when it is still in flight
-or reached the root after its last flush.  Otherwise the audit replays the
-sensor flushes and counts the root windows' leaves, as a full multiset
-comparison would.  That replay runs only on an internally inconsistent
-trace, one whose channels repeat, drop or invent a window's children (the
-fault tests patch `channel_flush` to do so); a run of this module's own code
-never takes it.
+Losslessness audit.  The root's window is the system report, so the audit is
+taken at the root flush, the one place that sees it.  Leaves in flight
+(published by a sensor, not yet in a root window) are the only leaves the
+loop keeps in a set.  A sensor flush adds its leaves to the set and counts
+published and covered leaves.  Each root window takes its leaves out of the
+set; a leaf copy that was not in flight (a second copy of a delivered leaf,
+or a leaf no sensor published) counts as duplicated.  When the run ends, the
+covered leaves still in flight are missing.  The simulator's own channels
+forward every child exactly once, so nothing is duplicated unless a channel
+repeats or invents a window's children, as the fault tests make it do by
+patching `channel_flush`.
 
 Collector pause.  `run` pauses the cyclic garbage collector and restores the
 caller's setting when it returns or raises.  Every window, leaf list and
-arrival entry the run keeps is GC-tracked, so each full collection would walk
+arrival entry the run holds is GC-tracked, so each full collection would walk
 all of them again, and at host scale those walks took half the run.  Nothing
 is lost by the pause: the loop builds only tuples, lists and sets whose
 contents never refer back to them, so it makes no reference cycles and
@@ -173,9 +170,6 @@ class SimTrace:
     max_observed_prop_us: int
     analytic_bound: LatencyBound
     staleness_bound: LatencyBound
-    system_reports: list[Window]  # the root's non-empty windows, in flush order
-    root_flush_times_us: list[int]
-    unmatched_leaves: int  # root arrivals of leaves that were not in flight
     losslessness: LosslessnessReport
     event_counts: Counter
 
@@ -198,6 +192,14 @@ class ModelCheck:
 
 @dataclass(frozen=True)
 class LosslessnessReport:
+    """What the root's system windows carried, against what the sensors published.
+
+    ``missing`` counts covered leaves that reached no root window.
+    ``duplicated`` counts root-window leaf copies that were not in flight at
+    their root flush: every copy of a leaf after its first, and every copy of
+    a leaf no sensor published.
+    """
+
     published: int
     covered: int
     missing: int
@@ -296,11 +298,7 @@ def _run(config: SimConfig) -> SimTrace:
 
     arrivals: list[tuple[int, Sequence[Leaf]]] = []
     in_flight: set[Leaf] = set()
-    published = covered = unmatched = 0
-    root_arrivals: list[Window] = []  # since the last root flush
-    root_windows_faithful = True  # each root window held exactly its arrivals
-    system_reports: list[Window] = []
-    root_flush_times: list[int] = []
+    published = covered = duplicated = 0
     counts: Counter = Counter()  # heap key -> events run
 
     while heap:
@@ -309,26 +307,7 @@ def _run(config: SimConfig) -> SimTrace:
 
         if kind == _ARRIVAL:
             if level == depth:
-                for _, window in batch:
-                    root_arrivals.append(window)
-                    leaves = window_leaves(window)
-                    if in_flight.issuperset(leaves):
-                        before = len(in_flight)
-                        in_flight.difference_update(leaves)
-                        if before - len(in_flight) == len(leaves):
-                            arrivals.append((now, leaves))
-                            continue
-                        in_flight.update(leaves)  # a leaf repeats in this window: undo
-                    matched = []
-                    for leaf in leaves:
-                        try:
-                            in_flight.remove(leaf)
-                        except KeyError:
-                            unmatched += 1
-                            continue
-                        matched.append(leaf)
-                    if matched:
-                        arrivals.append((now, matched))
+                arrivals.extend([(now, window_leaves(window)) for _, window in batch])
             channel_publish(levels[level], batch, now)
             continue
 
@@ -344,30 +323,19 @@ def _run(config: SimConfig) -> SimTrace:
                 covered += sum(1 for leaf in leaves if leaf[2] <= horizon)
         else:
             outs = channel_flush(levels[level], now)
-            if level == depth:  # the root: one channel
-                root_flush_times.append(now)
-                system_reports.extend(out for _, out in outs)
-                expected = [tuple(root_arrivals)] if root_arrivals else []
-                root_windows_faithful &= [out.children for _, out in outs] == expected
-                root_arrivals.clear()
+            if level == depth:  # the root: its one window is the system report
+                for _, out in outs:
+                    leaves = window_leaves(out)
+                    before = len(in_flight)
+                    in_flight.difference_update(leaves)
+                    duplicated += len(leaves) - (before - len(in_flight))
                 continue
         if outs:
             fanout = hierarchy.fanout[level + 1]
             push(now + hop_us[level], _ARRIVAL, level + 1, [(j // fanout, out) for j, out in outs])
 
-    if unmatched or not root_windows_faithful:
-        losslessness = _recount_losslessness(
-            sensors, config.duration_us, system_reports, horizon, published, covered
-        )
-    else:
-        last_root_flush = root_flush_times[-1] if root_flush_times else 0
-        late = 0  # covered leaves that reached the root after its last flush
-        for now, leaves in reversed(arrivals):
-            if now < last_root_flush:
-                break
-            late += sum(1 for leaf in leaves if leaf[2] <= horizon)
-        missing = late + sum(1 for leaf in in_flight if leaf[2] <= horizon)
-        losslessness = LosslessnessReport(published, covered, missing, 0)
+    missing = sum(1 for leaf in in_flight if leaf[2] <= horizon)
+    losslessness = LosslessnessReport(published, covered, missing, duplicated)
 
     machines = [
         (cid, level, loads[level].utilization)
@@ -388,38 +356,9 @@ def _run(config: SimConfig) -> SimTrace:
         ),
         analytic_bound=bound,
         staleness_bound=stale_bound,
-        system_reports=system_reports,
-        root_flush_times_us=root_flush_times,
-        unmatched_leaves=unmatched,
         losslessness=losslessness,
         event_counts=Counter({_KINDS[kind]: n for kind, n in counts.items()}),
     )
-
-
-def _recount_losslessness(
-    sensors: SensorLevel,
-    duration_us: int,
-    system_reports: list[Window],
-    horizon: int,
-    published: int,
-    covered: int,
-) -> LosslessnessReport:
-    """The audit by multisets: replay every sensor flush and count the root windows' leaves.
-
-    Only an internally inconsistent trace gets here (see the module docstring).
-    """
-    replay = SensorLevel(sensors.machine_ids, sensors.phases, sensors.period_us, sensors.hold_us)
-    flush_times = range(sensors.hold_us, duration_us + 1, sensors.hold_us)
-    counted = Counter(leaf for window in system_reports for leaf in window_leaves(window))
-    missing = sum(
-        1
-        for now in flush_times
-        for _, window in sensor_flush(replay, now)
-        for leaf in window.children
-        if leaf[2] <= horizon and leaf not in counted
-    )
-    duplicated = sum(1 for count in counted.values() if count > 1)
-    return LosslessnessReport(published, covered, missing, duplicated)
 
 
 def verify_against_model(trace: SimTrace) -> ModelCheck:
@@ -450,8 +389,9 @@ def check_losslessness(trace: SimTrace) -> LosslessnessReport:
 
     A published leaf is covered when the propagation bound plus one root hold
     still fits before the end of the run; covered leaves must appear exactly
-    once across all system windows, everything at most once.  The module
-    docstring says how the run counts this without keeping every leaf.
+    once across all system windows, and no leaf may reach them twice or
+    without being published.  The run takes this audit at each root flush
+    (see the module docstring).
     """
     return trace.losslessness
 

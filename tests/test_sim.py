@@ -9,13 +9,14 @@ import statistics
 import tracemalloc
 from collections import Counter
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermon import channel, cli, report, sim
-from hiermon.channel import window_leaves
+from hiermon.channel import Window, window_leaves
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     LoadCoefficients,
@@ -24,7 +25,7 @@ from hiermon.loadmodel import (
     level_report_sizes_kb,
 )
 from hiermon.model import HierarchyConfig, LatencyBound, machines_total
-from hiermon.report import iter_leaves, measure, parse, serialize
+from hiermon.report import LevelKind, iter_leaves, measure, parse, serialize
 from hiermon.sim import (
     LosslessnessReport,
     SimConfig,
@@ -198,20 +199,48 @@ def enumerated_published(config: SimConfig) -> set:
     return published
 
 
-def multiset_audit(trace) -> tuple[LosslessnessReport, int]:
-    """The losslessness audit and the repeated root leaves, by counting every root window."""
+def run_recording_root_windows(config: SimConfig):
+    """Run `config`; also return each root flush as ``(instant, windows)``, in flush order.
+
+    The run keeps no root windows, so this wraps `sim.channel_flush` (whatever
+    it is at call time, a faulty patch included) to record them.
+    """
+    flush = sim.channel_flush
+    root_flushes = []
+
+    def recording(channels, now_us):
+        out = flush(channels, now_us)
+        if channels.top_level:
+            root_flushes.append((now_us, [window for _, window in out]))
+        return out
+
+    with mock.patch.object(sim, "channel_flush", recording):
+        trace = run(config)
+    return trace, root_flushes
+
+
+def root_windows(root_flushes) -> list:
+    return [window for _, windows in root_flushes for window in windows]
+
+
+def multiset_audit(trace, windows) -> tuple[LosslessnessReport, int]:
+    """The losslessness audit and the repeated root leaves, by counting every root window.
+
+    A leaf copy counts as duplicated unless it is the first copy of a
+    published leaf, so a leaf no sensor published is duplicated too.
+    """
     hierarchy = trace.config.hierarchy
     horizon = (
         trace.config.duration_us - trace.analytic_bound.micros - hierarchy.hold_us[hierarchy.depth]
     )
     published = enumerated_published(trace.config)
-    counted = Counter(leaf for window in trace.system_reports for leaf in window_leaves(window))
+    counted = Counter(leaf for window in windows for leaf in window_leaves(window))
     covered = [leaf for leaf in published if leaf[2] <= horizon]
     report = LosslessnessReport(
         published=len(published),
         covered=len(covered),
         missing=sum(1 for leaf in covered if counted[leaf] == 0),
-        duplicated=sum(1 for count in counted.values() if count > 1),
+        duplicated=sum(count - (leaf in published) for leaf, count in counted.items()),
     )
     return report, sum(count - 1 for count in counted.values())
 
@@ -224,16 +253,16 @@ class TestAgainstModel:
         assert 0 < check.tightness <= 1
         report = check_losslessness(trace)
         assert report.ok and report.covered > 0
-        assert trace.unmatched_leaves == 0
         assert check_staleness(trace)
 
     def test_root_leaves_match_published_multiset_exactly(self):
         for config in (small_three_level(), small_three_level(seed=3, jitter_fraction=0.5)):
-            trace = run(config)
-            seen = [leaf for window in trace.system_reports for leaf in window_leaves(window)]
+            trace, root_flushes = run_recording_root_windows(config)
+            windows = root_windows(root_flushes)
+            seen = [leaf for window in windows for leaf in window_leaves(window)]
             assert len(seen) == len(set(seen))
             assert set(seen) <= enumerated_published(config)
-            report, repeated = multiset_audit(trace)
+            report, repeated = multiset_audit(trace, windows)
             assert report.ok and report.covered > 0 and repeated == 0
             assert check_losslessness(trace) == report
 
@@ -246,9 +275,8 @@ class TestAgainstModel:
 
     def test_root_flush_count_is_floor_of_duration_over_hold(self):
         hierarchy = HierarchyConfig.from_seconds(1, [1, 2], [2, 2], 2)
-        trace = run(SimConfig.build(hierarchy, duration_s=13))
-        assert len(trace.root_flush_times_us) == 6
-        assert trace.root_flush_times_us == [k * 2 * SECOND for k in range(1, 7)]
+        _, root_flushes = run_recording_root_windows(SimConfig.build(hierarchy, duration_s=13))
+        assert [now for now, _ in root_flushes] == [k * 2 * SECOND for k in range(1, 7)]
 
     def test_level_path_names_the_machine_chain(self):
         trace = run(small_three_level())
@@ -260,11 +288,11 @@ class TestAgainstModel:
     @pytest.mark.parametrize("holds", [(30, 10, 10), (30, 20, 20), (10, 30, 30)])
     def test_model_root_size_matches_observed_system_reports(self, holds):
         hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], holds, 10)
-        trace = run(SimConfig.build(hierarchy))
+        _, root_flushes = run_recording_root_windows(SimConfig.build(hierarchy))
         period_s = hierarchy.service_period_seconds
         observed_kb = statistics.median(
             measure(window_report(window, period_s)).bytes / 1024
-            for window in trace.system_reports
+            for window in root_windows(root_flushes)
         )
         model_kb = level_report_sizes_kb(hierarchy)[-1]
         assert model_kb == pytest.approx(observed_kb, rel=0.10)
@@ -293,11 +321,10 @@ def random_small_trees(draw):
 @settings(max_examples=200, deadline=None)
 @given(random_small_trees().filter(_unsaturated))
 def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
-    trace = run(config)
+    trace, root_flushes = run_recording_root_windows(config)
     assert verify_against_model(trace).bound_respected
     assert check_losslessness(trace).ok
-    assert check_losslessness(trace) == multiset_audit(trace)[0]
-    assert trace.unmatched_leaves == 0
+    assert check_losslessness(trace) == multiset_audit(trace, root_windows(root_flushes))[0]
     assert check_staleness(trace)
     deliveries = trace.deliveries
     assert trace.delivered == len(deliveries)
@@ -313,31 +340,41 @@ def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
         )
 
 
+#: A leaf no sensor publishes: no service of machine 0 ticks 1 µs into the run.
+INVENTED = (0, 0, 1)
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
-@pytest.mark.parametrize("fault", ["repeat", "drop"])
+@pytest.mark.parametrize("fault", ["repeat", "drop", "invent"])
 def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
-    """A channel level that repeats or drops one child window is caught, and counted exactly."""
+    """A channel level that repeats, drops or invents one child window is caught and counted."""
     original = sim.channel_flush
     faults = []
+    invented = Window(LevelKind.NODE, 0, "m-0001", 0, (INVENTED,))
 
     def faulty_flush(channels, now_us):
         out = original(channels, now_us)
         if channels.level == level and out and not faults:
             j, window = out[0]
-            children = window.children
-            children = children + children[:1] if fault == "repeat" else children[1:]
+            children = {
+                "repeat": window.children + window.children[:1],
+                "drop": window.children[1:],
+                "invent": window.children + (invented,),
+            }[fault]
             out[0] = (j, window._replace(children=children))
             faults.append(now_us)
         return out
 
     monkeypatch.setattr(sim, "channel_flush", faulty_flush)
-    trace = run(small_three_level(seed=5, jitter_fraction=0.5))
+    config = small_three_level(seed=5, jitter_fraction=0.5)
+    assert INVENTED not in enumerated_published(config)
+    trace, root_flushes = run_recording_root_windows(config)
     assert faults
-    report, repeated = multiset_audit(trace)
+    report, repeated = multiset_audit(trace, root_windows(root_flushes))
     assert check_losslessness(trace) == report
     assert not report.ok
-    # a repeat below the root reaches it as leaves no longer in flight
-    assert trace.unmatched_leaves == (repeated if level < 3 else 0)
+    # each repeated leaf repeats once; an invented leaf was never in flight
+    assert report.duplicated == repeated + (fault == "invent")
 
 
 @pytest.mark.parametrize(
@@ -356,19 +393,19 @@ def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
 def test_audit_counts_missing_leaves_for_an_understated_bound(monkeypatch, config):
     """With the bound understated, covered leaves miss the root's last flush."""
     monkeypatch.setattr(sim, "propagation_time", lambda *args: LatencyBound(SECOND // 2))
-    trace = run(config)
+    trace, root_flushes = run_recording_root_windows(config)
     assert not verify_against_model(trace).bound_respected
-    report, repeated = multiset_audit(trace)
+    report, repeated = multiset_audit(trace, root_windows(root_flushes))
     assert report.missing > 0 and repeated == 0
     assert check_losslessness(trace) == report
-    assert trace.unmatched_leaves == 0
 
 
 class TestEdgeReports:
     def test_root_windows_render_to_round_tripping_reports(self):
-        trace = run(small_three_level(seed=3, jitter_fraction=0.5))
+        config = small_three_level(seed=3, jitter_fraction=0.5)
+        trace, root_flushes = run_recording_root_windows(config)
         period_s = trace.config.hierarchy.service_period_seconds
-        for window in trace.system_reports:
+        for window in root_windows(root_flushes):
             rendered = window_report(window, period_s)
             assert rendered.level_kind is report.LevelKind.SYSTEM
             assert serialize(window_report(window, period_s)) == serialize(rendered)
@@ -377,6 +414,28 @@ class TestEdgeReports:
                 (f"m-{m + 1:04d}.s{service}", emitted // 1000)
                 for m, service, emitted in window_leaves(window)
             ]
+
+    @pytest.mark.parametrize(
+        "config", [tiny_single_level(), small_three_level(seed=3, jitter_fraction=0.5)],
+        ids=["depth-1", "depth-3"],
+    )
+    def test_trace_keeps_no_windows(self, config):
+        trace = run(config)
+        assert trace.delivered > 0
+        pending = [getattr(trace, field.name) for field in dataclasses.fields(trace)]
+        seen = set()
+        windows = 0
+        while pending:
+            value = pending.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            windows += isinstance(value, Window)
+            if isinstance(value, dict):
+                pending.extend(value.items())
+            elif isinstance(value, (tuple, list, set, frozenset)):
+                pending.extend(value)
+        assert windows == 0
 
     def test_run_builds_no_reports(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -5,15 +5,19 @@ carries a whole level and one call flushes it.  A sensor level holds each
 machine's service phases: services tick at ``phase + k * period``, so a
 flush computes each machine's window from the phases instead of recording
 ticks, and reuses the window shapes of a steady schedule (see
-`SensorLevel`).  A channel level buffers whatever the level below publishes
-into it and, once per hold window, merges each channel's buffer into a
-single window that the forwarder republishes one level up.  The top-level
-channel emits system windows instead.
+`SensorLevel`).  A flush publishes one `SensorBlock` per level-1 channel
+whose machines caught anything: the flush instant, the channel's machine
+range and the flush's `ShapeTable`, not one window per machine.  A channel
+level buffers whatever the level below publishes into it and, once per hold
+window, merges each channel's buffer into a single window that the forwarder
+republishes one level up.  The top-level channel emits system windows
+instead.
 
-A flush returns ``[(member index, window), …]`` for its non-empty windows,
-in index order.  Windows carry leaf keys, not report payloads, and list
-their children in the order they were collected;
-``hiermon.sim.window_report`` renders one as a report tree.
+A flush returns ``[(channel index, output), …]`` for its non-empty outputs,
+in index order; a sensor block's index is its level-1 channel.  Windows list
+their children in the order they were collected, and leaves exist only when
+`window_leaves` (or a block's ``children``) spells them out;
+``hiermon.sim.window_report`` renders a window as a report tree.
 
 All state here is mutated solely by the simulator's event loop; instances
 must never be shared mutably across threads.
@@ -28,10 +32,72 @@ from hiermon.report import LevelKind, LevelMismatchError
 
 #: (machine index, service index, emitted µs): one service tick, end to end.
 Leaf = tuple[int, int, int]
+#: One machine's window as ``(service, last tick - window start)`` pairs.
+Shape = tuple[tuple[int, int], ...]
+
+
+class ShapeTable(NamedTuple):
+    """One sensor flush's window shapes, summed per level-1 channel range when built."""
+
+    machine_ids: Sequence[str]
+    hold_us: int
+    group: int  # machines per level-1 channel
+    shapes: list[Shape]  # per machine
+    counts: list[int]  # per channel: leaves in its range
+    earliest: list[int]  # per channel: smallest offset in its range (0 when it has none)
+
+
+def _shape_table(sensors: SensorLevel, shapes: list[Shape]) -> ShapeTable:
+    """Wrap one flush's per-machine shapes with each channel range's leaf count and earliest offset."""
+    group = sensors.group
+    counts, earliest = [], []
+    for lo in range(0, len(shapes), group):
+        offsets = [offset for shape in shapes[lo : lo + group] for _, offset in shape]
+        counts.append(len(offsets))
+        earliest.append(min(offsets, default=0))
+    return ShapeTable(sensors.machine_ids, sensors.hold_us, group, shapes, counts, earliest)
+
+
+class SensorBlock(NamedTuple):
+    """The node windows of machines ``[lo, hi)`` at one sensor flush, as a reference to its shapes.
+
+    A block is the level-0 output: what a level-1 channel buffers as a child.
+    Its leaves are its machines' shapes stamped with the window start, in
+    machine order, then shape order.
+    """
+
+    at_us: int  # flush instant; the window is [at_us - hold, at_us)
+    lo: int
+    hi: int
+    table: ShapeTable
+
+    kind = LevelKind.NODE
+    level = 0
+
+    @property
+    def count(self) -> int:
+        table = self.table
+        return table.counts[self.lo // table.group]
+
+    @property
+    def earliest_us(self) -> int:
+        """The oldest leaf's emission instant; meaningless for an empty block."""
+        table = self.table
+        return self.at_us - table.hold_us + table.earliest[self.lo // table.group]
+
+    @property
+    def children(self) -> tuple[Leaf, ...]:
+        """The block's leaves, built on each call."""
+        table = self.table
+        start = self.at_us - table.hold_us
+        shapes = table.shapes
+        return tuple(
+            [(m, s, start + offset) for m in range(self.lo, self.hi) for s, offset in shapes[m]]
+        )
 
 
 class Window(NamedTuple):
-    """One hold window's output: leaves at level 0, lower-level windows above."""
+    """One channel's hold window: sensor blocks at level 1, lower-level windows above."""
 
     kind: LevelKind
     level: int
@@ -40,25 +106,19 @@ class Window(NamedTuple):
     children: tuple
 
 
-def window_leaves(window: Window) -> tuple[Leaf, ...] | list[Leaf]:
-    """Every leaf a window transitively contains, in depth-first order.
-
-    Node children are read in place rather than through a call each: the
-    simulator walks each window that reaches the root twice, on arrival and
-    at the root flush.
-    """
+def window_blocks(window: Window | SensorBlock) -> Sequence[SensorBlock]:
+    """Every sensor block a window transitively contains, in depth-first order."""
     if window.level == 0:
-        return window.children
-    return [
-        leaf
-        for child in window.children
-        for leaf in (child.children if child.level == 0 else window_leaves(child))
-    ]
+        return (window,)
+    return [block for child in window.children for block in window_blocks(child)]
 
 
-def window_shape(
-    phases: Sequence[int], period_us: int, start_us: int, end_us: int
-) -> tuple[tuple[int, int], ...]:
+def window_leaves(window: Window | SensorBlock) -> tuple[Leaf, ...]:
+    """Every leaf a window transitively contains, in depth-first order."""
+    return tuple([leaf for block in window_blocks(window) for leaf in block.children])
+
+
+def window_shape(phases: Sequence[int], period_us: int, start_us: int, end_us: int) -> Shape:
     """One machine's window ``[start, end)`` as ordered ``(service, last tick - start)`` pairs.
 
     Each service that ticked in the window contributes its freshest tick;
@@ -79,13 +139,15 @@ def window_shape(
 class SensorLevel:
     """Every machine's sensor: services tick at ``phase + k * period_us``, flushes every ``hold_us``.
 
-    Once a window opens at or after ``settled_us`` (one period, or the latest
-    phase if later) every service has ticked, so a machine's window shape
-    depends only on the window start modulo the period.  When the hold is a
-    multiple of the period every such window starts on the same residue: the
-    first of them keeps its shapes in ``steady_shapes`` and later flushes
-    reuse them.  Any other hold computes every window afresh and keeps
-    nothing between flushes, so memory never grows with the residues.
+    Machines are grouped into level-1 channel ranges of ``group`` machines,
+    one block each.  Once a window opens at or after ``settled_us`` (one
+    period, or the latest phase if later) every service has ticked, so a
+    machine's window shape depends only on the window start modulo the
+    period.  When the hold is a multiple of the period every such window
+    starts on the same residue: the first of them keeps its table in
+    ``steady_shapes`` and later flushes reuse it, so they cost O(channels).
+    Any other hold computes every window afresh and keeps nothing between
+    flushes, so memory never grows with the residues.
     """
 
     machine_ids: Sequence[str]
@@ -93,20 +155,23 @@ class SensorLevel:
     period_us: int
     hold_us: int
     next_flush_us: int = -1
+    group: int = 1
     settled_us: int = field(init=False)
-    steady_shapes: list[tuple[tuple[int, int], ...]] | None = field(init=False, default=None)
+    steady_shapes: ShapeTable | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.next_flush_us < 0:
             self.next_flush_us = self.hold_us
+        if self.group < 1 or len(self.phases) % self.group:
+            raise ValueError(f"{len(self.phases)} machines do not split into ranges of {self.group}")
         self.settled_us = max(self.period_us, max(map(max, self.phases), default=0))
 
 
-def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, Window]]:
-    """Publish every machine's window ``[now - hold, now)`` as one node window each.
+def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, SensorBlock]]:
+    """Publish every machine's window ``[now - hold, now)`` as one block per level-1 channel.
 
-    Machines with an empty window publish nothing; either way the next flush
-    is scheduled one hold period later.
+    A channel whose machines all have empty windows gets nothing; either way
+    the next flush is scheduled one hold period later.
     """
     if now_us != sensors.next_flush_us:
         raise ValueError(
@@ -114,19 +179,18 @@ def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, Window]]:
         )
     start = now_us - sensors.hold_us
     sensors.next_flush_us += sensors.hold_us
-    shapes = sensors.steady_shapes
-    if shapes is None:
+    table = sensors.steady_shapes
+    if table is None:
         period = sensors.period_us
         shapes = [window_shape(phases, period, start, now_us) for phases in sensors.phases]
+        table = _shape_table(sensors, shapes)
         if start >= sensors.settled_us and sensors.hold_us % period == 0:
-            sensors.steady_shapes = shapes
-    ids = sensors.machine_ids
-    at_ms = now_us // 1000
-    node = LevelKind.NODE
+            sensors.steady_shapes = table
+    group = sensors.group
     return [
-        (m, Window(node, 0, ids[m], at_ms, tuple([(m, s, start + offset) for s, offset in shape])))
-        for m, shape in enumerate(shapes)
-        if shape
+        (j, SensorBlock(now_us, j * group, j * group + group, table))
+        for j, count in enumerate(table.counts)
+        if count
     ]
 
 
@@ -139,7 +203,7 @@ class ChannelLevel:
     hold_us: int
     top_level: bool = False
     next_flush_us: int = -1
-    buffers: list[list[Window]] = field(init=False)  # per channel index
+    buffers: list[list[Window | SensorBlock]] = field(init=False)  # per channel index
 
     def __post_init__(self) -> None:
         if self.level < 1:
@@ -150,9 +214,9 @@ class ChannelLevel:
 
 
 def channel_publish(
-    channels: ChannelLevel, batch: Sequence[tuple[int, Window]], now_us: int
+    channels: ChannelLevel, batch: Sequence[tuple[int, Window | SensorBlock]], now_us: int
 ) -> None:
-    """Buffer one flush of a lower level: window ``w`` of ``(j, w)`` goes to channel ``j``.
+    """Buffer one flush of a lower level: output ``w`` of ``(j, w)`` goes to channel ``j``.
 
     A batch comes from one flush of one level, so its windows share kind and
     level, and the receiving level has one flush schedule: one check of each

@@ -7,7 +7,8 @@ its traces, and `sweep` walks machine counts per hierarchy preset the way a
 capacity-planning study would.
 
 Exit codes: 0 success, 1 output pipe closed early, 2 usage/config error
-(including `simulate` on a saturated tree), 3 calibration failure.
+(including `simulate` on a saturated tree or over its row budget), 3
+calibration failure.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from hiermon.model import (
     validate,
 )
 from hiermon.sim import (
+    MAX_ROWS,
     SimConfig,
     check_losslessness,
     run,
@@ -321,6 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         seed=seed,
         jitter_fraction=args.jitter,
+        max_rows=args.max_rows,
     )
     trace = run(sim_config)
     out = _out_dir(args)
@@ -439,6 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="simulation seed (HIERMON_SEED overrides)")
     simulate.add_argument("--jitter", type=float, default=0.0, metavar="F",
                           help="tick phase jitter as a fraction of the period (default 0)")
+    simulate.add_argument("--max-rows", type=int, default=MAX_ROWS, metavar="N",
+                          help="refuse a run whose trace.csv could exceed N rows, "
+                               f"counted as machines x services x sensor flushes (default {MAX_ROWS})")
     _add_common(simulate)
     simulate.set_defaults(func=cmd_simulate)
 

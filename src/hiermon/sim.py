@@ -4,60 +4,43 @@ The event loop drives sensor flushes, channel flushes and message arrivals
 on an integer-microsecond clock.  Delivery delays are the load model's
 per-level input/output times, so every observed propagation can be compared
 exactly against the analytic worst-case bound computed from the same
-numbers.  A tree with a saturated level has no finite delays to replay, so
-`run` refuses it before building any per-machine state.
+numbers.  `SimConfig` refuses a run whose trace could exceed the row budget,
+and `run` refuses a saturated tree, both before any per-machine state.
 
-Event rules.  All sensors share one flush schedule, and so do all channels
-of one level, so each level is one object (`SensorLevel`, `ChannelLevel`)
-and the heap holds one entry per (instant, kind, level):
+Event rules.  Every level is one object with one flush schedule, and the
+heap holds one entry per (instant, kind, level): ``SENSOR_FLUSH`` and
+``CHANNEL_FLUSH`` flush a whole level in index order, and
+``CHANNEL_ARRIVAL`` hands one level the ``(channel, output)`` pairs of one
+flush below, in source order, ``t_out[L] + t_in[L+1]`` after it
+(``t_in[1]`` after the sensors' flush).  At equal instants channel flushes
+run first, then the sensor flush, then arrivals, so an output arriving
+exactly at a flush instant lands in the next window.  No two entries share
+a key, since each receiving level is fed by one source level over one fixed
+delay, so members act in the order per-member events with a push-sequence
+tie-break would run them, and each channel buffers its children in source
+order.
 
-- ``SENSOR_FLUSH`` flushes the sensor level, every machine in index order.
-  Service ticks are not events: each window comes from the services' phases.
-- ``CHANNEL_FLUSH`` flushes one channel level, every channel in index order.
-- ``CHANNEL_ARRIVAL`` hands one level a batch of ``(channel, window)``
-  pairs in source order.  The non-empty windows of a level-L flush at ``t``
-  arrive as one batch at ``t + t_out[L] + t_in[L+1]`` (``t + t_in[1]`` for
-  the sensors' flush).
-
-At equal instants channel flushes run first, then the sensor flush, then
-arrivals, so a window arriving exactly at a flush instant lands in the next
-window.  No two entries share a key: each level has one flush schedule, and
-each receiving level is fed by one source level over one fixed delay, so it
-gets at most one batch per instant.  Members of one level therefore act in
-index order, the order per-member events with a push-sequence tie-break
-would run in, and each channel buffers its children in source order.
-
-Arrival log.  The run's output is a log of root arrivals, not one object per
-delivered leaf: each window reaching the root appends ``(now, leaves)`` to
-`SimTrace.arrivals`.  `SimTrace.deliveries` builds `DeliveryRecord`s from
-that log on demand; the run, the audit, the CSV export, `check_staleness` and
-the ``simulate`` command never do.  The run keeps no window once the root has
-flushed it.
-
-Losslessness audit.  The root's window is the system report, so the audit is
-taken at the root flush, the one place that sees it.  Leaves in flight
-(published by a sensor, not yet in a root window) are the only leaves the
-loop keeps in a set.  A sensor flush adds its leaves to the set and counts
-published and covered leaves.  Each root window takes its leaves out of the
-set; a leaf copy that was not in flight (a second copy of a delivered leaf,
-or a leaf no sensor published) counts as duplicated.  When the run ends, the
-covered leaves still in flight are missing.  The simulator's own channels
-forward every child exactly once, so nothing is duplicated unless a channel
-repeats or invents a window's children, as the fault tests make it do by
-patching `channel_flush`.
-
-Collector pause.  `run` pauses the cyclic garbage collector and restores the
-caller's setting when it returns or raises.  Every window, leaf list and
-arrival entry the run holds is GC-tracked, so each full collection would walk
-all of them again, and at host scale those walks took half the run.  Nothing
-is lost by the pause: the loop builds only tuples, lists and sets whose
-contents never refer back to them, so it makes no reference cycles and
-reference counting frees everything it discards.
-
-Determinism contract: one `Random(seed)` instance draws the tick phases
-before the loop starts and nothing else; the loop carries leaf keys, and
-metric payloads exist only at the edge (`window_report`).  Identical configs
-produce identical traces, byte for byte, when exported.
+Invariants.
+- Leaves exist only at the edge.  A sensor flush publishes one
+  `channel.SensorBlock` per non-empty level-1 channel; a steady schedule
+  reuses one shape table, so such a flush costs O(channels).  Expanding
+  blocks in machine order, then shape order, gives the order of one window
+  per machine, so `window_leaves`, `write_trace_csv`, `deliveries` and
+  `window_report` see the per-leaf depth-first order.
+- The trace keeps no window and no leaf: `SimTrace.arrivals` logs
+  ``(now, blocks)`` per root arrival, and counts and the worst propagation
+  come from each block's leaf count and earliest offset.
+- Losslessness is audited at the root flush.  In-flight blocks are keyed by
+  (flush instant, machine range), and only the block object the sensors
+  published consumes its entry.  Any other block (repeated or invented by a
+  faulty channel) is settled leaf by leaf against its ranges' entries, so
+  the counts equal a multiset count of root leaves.  Leaf-level work is left
+  for that, for a flush straddling the coverage horizon, and for the
+  end-of-run ``missing`` count.
+- `run` pauses the cyclic collector: the loop builds no reference cycles,
+  so reference counting frees all it discards.
+- One `Random(seed)` draws the tick phases before the loop and nothing else:
+  identical configs give byte-identical exports.
 """
 
 from __future__ import annotations
@@ -68,7 +51,6 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
-from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import NamedTuple, Sequence
@@ -76,12 +58,13 @@ from typing import NamedTuple, Sequence
 from hiermon.channel import (
     ChannelLevel,
     Leaf,
+    SensorBlock,
     SensorLevel,
     Window,
     channel_flush,
     channel_publish,
     sensor_flush,
-    window_leaves,
+    window_blocks,
 )
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
@@ -113,6 +96,10 @@ _CHANNEL_FLUSH, _SENSOR_FLUSH, _ARRIVAL = range(len(_KINDS))  # heap keys
 
 _MIN_WINDOW_US = 1_000  # report timestamps are milliseconds; finer windows alias
 
+#: Default ceiling on `SimConfig.row_bound`: ten million rows are about 0.4 GB
+#: of trace.csv and 5 s of export on a 2-CPU host (`BENCH_11.json`).
+MAX_ROWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -121,6 +108,7 @@ class SimConfig:
     duration_us: int = 0
     seed: int = 1
     jitter_fraction: float = 0.0
+    max_rows: int = MAX_ROWS
 
     @classmethod
     def build(
@@ -130,12 +118,13 @@ class SimConfig:
         duration_s: float | None = None,
         seed: int = 1,
         jitter_fraction: float = 0.0,
+        max_rows: int = MAX_ROWS,
     ) -> "SimConfig":
         if duration_s is None:
             duration_us = 3 * sum(hierarchy.hold_us)
         else:
             duration_us = round(duration_s * 1e6)
-        return cls(hierarchy, coeffs, duration_us, seed, jitter_fraction)
+        return cls(hierarchy, coeffs, duration_us, seed, jitter_fraction, max_rows)
 
     def __post_init__(self) -> None:
         problems = validate(self.hierarchy)
@@ -149,6 +138,18 @@ class SimConfig:
             raise ValueError("service period below 1 ms aliases report timestamps")
         if min(self.hierarchy.hold_us) < _MIN_WINDOW_US:
             raise ValueError("hold windows below 1 ms alias report timestamps")
+        if self.row_bound > self.max_rows:
+            raise ValueError(
+                f"the trace could reach {self.row_bound} rows, above the budget of "
+                f"{self.max_rows} (--max-rows raises it)"
+            )
+
+    @property
+    def row_bound(self) -> int:
+        """The most trace rows a run can write: one per service per sensor flush."""
+        hierarchy = self.hierarchy
+        flushes = self.duration_us // hierarchy.hold_us[0]
+        return machines_total(hierarchy) * hierarchy.fanout[0] * flushes
 
 
 class DeliveryRecord(NamedTuple):
@@ -162,11 +163,10 @@ class DeliveryRecord(NamedTuple):
 @dataclass
 class SimTrace:
     config: SimConfig
-    arrivals: list[tuple[int, Sequence[Leaf]]]  # (root arrival µs, delivered leaves)
+    arrivals: list[tuple[int, Sequence[SensorBlock]]]  # (root arrival µs, delivered blocks)
     delivered: int  # leaves in `arrivals`
-    service_ids: list[list[str]]  # [machine][service] -> label
-    level_paths: list[tuple[str, ...]]  # [machine] -> channel ids, level 1 to the root
-    machines: list[tuple[str, int, float]]  # (id, level, utilization)
+    channel_ids: list[Sequence[str]]  # [level][index] -> id; level 0 is the machines
+    utilization: list[float]  # [level] -> the load model's utilization
     max_observed_prop_us: int
     analytic_bound: LatencyBound
     staleness_bound: LatencyBound
@@ -174,13 +174,32 @@ class SimTrace:
     event_counts: Counter
 
     @property
+    def machines(self) -> list[tuple[str, int, float]]:
+        """``(id, level, utilization)`` for every sensor and channel, level by level."""
+        return [
+            (cid, level, utilization)
+            for level, (ids, utilization) in enumerate(zip(self.channel_ids, self.utilization))
+            for cid in ids
+        ]
+
+    @property
     def deliveries(self) -> list[DeliveryRecord]:
         """One record per delivered leaf, in arrival order, built from `arrivals` on each call."""
-        service_ids, level_paths = self.service_ids, self.level_paths
+        ids = self.channel_ids
+        fanout = self.config.hierarchy.fanout
+        levels = range(1, len(ids))
+        group = [prod(fanout[1 : level + 1]) for level in range(len(ids))]
         return [
-            DeliveryRecord(service_ids[m][s], emitted, now, now - emitted, level_paths[m])
-            for now, leaves in self.arrivals
-            for m, s, emitted in leaves
+            DeliveryRecord(
+                _service_label(ids[0][m], s),
+                emitted,
+                now,
+                now - emitted,
+                tuple(ids[level][m // group[level]] for level in levels),
+            )
+            for now, blocks in self.arrivals
+            for block in blocks
+            for m, s, emitted in block.children
         ]
 
 
@@ -210,16 +229,49 @@ class LosslessnessReport:
         return self.missing == 0 and self.duplicated == 0
 
 
-def _machine_label(index: int, total: int) -> str:
+def _machine_labels(total: int) -> list[str]:
     width = max(4, len(str(total)))
-    return f"m-{index + 1:0{width}d}"
+    return [f"m-{number:0{width}d}" for number in range(1, total + 1)]
 
 
 def _service_label(machine_id: str, service: int) -> str:
     return f"{machine_id}.s{service}"
 
 
-_EMITTED = itemgetter(2)
+def _covered(block: SensorBlock, horizon_us: int) -> int:
+    """How many of a block's leaves were emitted by ``horizon_us``."""
+    if block.at_us - 1 <= horizon_us:
+        return block.count
+    if block.earliest_us > horizon_us:
+        return 0
+    return sum(1 for leaf in block.children if leaf[2] <= horizon_us)
+
+
+def _settle_leaves(
+    in_flight: dict[tuple[int, int, int], SensorBlock | set[Leaf]],
+    leaves: Sequence[Leaf],
+    hold_us: int,
+    group: int,
+) -> int:
+    """Take leaves out of the in-flight entries of their ranges; return how many were not in flight.
+
+    A leaf emitted at ``e`` by machine ``m`` was published by the sensor flush
+    at ``(e // hold + 1) * hold`` in the block of ``m``'s level-1 range.  An
+    entry still holding that block object is spelled out as a leaf set first.
+    """
+    duplicated = 0
+    for leaf in leaves:
+        machine, _, emitted = leaf
+        lo = machine - machine % group
+        key = ((emitted // hold_us + 1) * hold_us, lo, lo + group)
+        entry = in_flight.get(key)
+        if isinstance(entry, SensorBlock):
+            entry = in_flight[key] = set(entry.children)
+        if entry is not None and leaf in entry:
+            entry.remove(leaf)
+        else:
+            duplicated += 1
+    return duplicated
 
 
 def run(config: SimConfig) -> SimTrace:
@@ -256,9 +308,10 @@ def _run(config: SimConfig) -> SimTrace:
 
     n_machines = machines_total(hierarchy)
     period_us = hierarchy.service_period_us
+    hold0_us = hierarchy.hold_us[0]
     rng = Random(config.seed)
 
-    machine_ids = [_machine_label(i, n_machines) for i in range(n_machines)]
+    machine_ids = _machine_labels(n_machines)
     # group[level] = machines under one level-`level` channel
     group = [prod(hierarchy.fanout[1 : level + 1]) for level in range(depth + 1)]
     channel_ids = [machine_ids] + [  # level 0 is the sensors
@@ -271,15 +324,10 @@ def _run(config: SimConfig) -> SimTrace:
     phases = [  # drawn machine by machine, then service by service
         tuple(round(rng.random() * jitter * period_us) for _ in range(services)) for _ in machine_ids
     ]
-    sensors = SensorLevel(machine_ids, phases, period_us, hierarchy.hold_us[0])
-    service_ids = [[_service_label(mid, j) for j in range(services)] for mid in machine_ids]
+    sensors = SensorLevel(machine_ids, phases, period_us, hold0_us, group=group[1])
     levels: list = [sensors] + [
         ChannelLevel(channel_ids[level], level, hierarchy.hold_us[level], top_level=level == depth)
         for level in range(1, depth + 1)
-    ]
-    level_paths = [
-        tuple(channel_ids[level][m // group[level]] for level in range(1, depth + 1))
-        for m in range(n_machines)
     ]
     # hop_us[level] = delay from a flush at `level` to its arrival one level up
     hop_us = [t_in_us[1]] + [t_out_us[level] + t_in_us[level + 1] for level in range(1, depth)]
@@ -292,12 +340,13 @@ def _run(config: SimConfig) -> SimTrace:
         if at <= config.duration_us:
             heappush(heap, (at, kind, level, batch))
 
-    push(hierarchy.hold_us[0], _SENSOR_FLUSH, 0)
+    push(hold0_us, _SENSOR_FLUSH, 0)
     for level in range(1, depth + 1):
         push(hierarchy.hold_us[level], _CHANNEL_FLUSH, level)
 
-    arrivals: list[tuple[int, Sequence[Leaf]]] = []
-    in_flight: set[Leaf] = set()
+    arrivals: list[tuple[int, Sequence[SensorBlock]]] = []
+    # (flush instant, lo, hi) -> the published block, or its leaves not yet delivered
+    in_flight: dict[tuple[int, int, int], SensorBlock | set[Leaf]] = {}
     published = covered = duplicated = 0
     counts: Counter = Counter()  # heap key -> events run
 
@@ -307,56 +356,52 @@ def _run(config: SimConfig) -> SimTrace:
 
         if kind == _ARRIVAL:
             if level == depth:
-                arrivals.extend([(now, window_leaves(window)) for _, window in batch])
+                arrivals.append((now, [block for _, out in batch for block in window_blocks(out)]))
             channel_publish(levels[level], batch, now)
             continue
 
         push(now + hierarchy.hold_us[level], kind, level)
         if level == 0:
             outs = sensor_flush(sensors, now)
-            leaves = [leaf for _, out in outs for leaf in out.children]
-            in_flight.update(leaves)
-            published += len(leaves)
-            if now - 1 <= horizon:  # every leaf was emitted in [now - hold, now)
-                covered += len(leaves)
-            elif now - hierarchy.hold_us[0] <= horizon:
-                covered += sum(1 for leaf in leaves if leaf[2] <= horizon)
+            for _, block in outs:
+                in_flight[now, block.lo, block.hi] = block
+                published += block.count
+                covered += _covered(block, horizon)
         else:
             outs = channel_flush(levels[level], now)
             if level == depth:  # the root: its one window is the system report
                 for _, out in outs:
-                    leaves = window_leaves(out)
-                    before = len(in_flight)
-                    in_flight.difference_update(leaves)
-                    duplicated += len(leaves) - (before - len(in_flight))
+                    for block in window_blocks(out):
+                        key = (block.at_us, block.lo, block.hi)
+                        if in_flight.get(key) is block:
+                            del in_flight[key]
+                        else:
+                            duplicated += _settle_leaves(in_flight, block.children, hold0_us, group[1])
                 continue
-        if outs:
             fanout = hierarchy.fanout[level + 1]
-            push(now + hop_us[level], _ARRIVAL, level + 1, [(j // fanout, out) for j, out in outs])
+            outs = [(j // fanout, out) for j, out in outs]
+        if outs:
+            push(now + hop_us[level], _ARRIVAL, level + 1, outs)
 
-    missing = sum(1 for leaf in in_flight if leaf[2] <= horizon)
-    losslessness = LosslessnessReport(published, covered, missing, duplicated)
-
-    machines = [
-        (cid, level, loads[level].utilization)
-        for level in range(depth + 1)
-        for cid in channel_ids[level]
-    ]
+    missing = sum(
+        _covered(entry, horizon)
+        if isinstance(entry, SensorBlock)
+        else sum(1 for leaf in entry if leaf[2] <= horizon)
+        for entry in in_flight.values()
+    )
 
     return SimTrace(
         config=config,
         arrivals=arrivals,
-        delivered=sum(len(leaves) for _, leaves in arrivals),
-        service_ids=service_ids,
-        level_paths=level_paths,
-        machines=machines,
-        max_observed_prop_us=max(  # a faulty channel can forward an empty window
-            (now - min(map(_EMITTED, leaves)) for now, leaves in arrivals if leaves),
-            default=0,
+        delivered=sum(block.count for _, blocks in arrivals for block in blocks),
+        channel_ids=channel_ids,
+        utilization=[loads[level].utilization for level in range(depth + 1)],
+        max_observed_prop_us=max(
+            (now - block.earliest_us for now, blocks in arrivals for block in blocks), default=0
         ),
         analytic_bound=bound,
         staleness_bound=stale_bound,
-        losslessness=losslessness,
+        losslessness=LosslessnessReport(published, covered, missing, duplicated),
         event_counts=Counter({_KINDS[kind]: n for kind, n in counts.items()}),
     )
 
@@ -399,43 +444,67 @@ def check_losslessness(trace: SimTrace) -> LosslessnessReport:
 def window_report(window: Window, service_period_s: float) -> Report:
     """Render a simulated window as a report tree with synthetic metric payloads.
 
-    Payloads come from a generator private to this call and seeded alike every
-    time, so a window always renders to the same report and the run's own
-    random stream is never read.
+    Each sensor block becomes one node report per machine with a non-empty
+    window, in machine order.  Payloads come from a generator private to this
+    call and seeded alike every time, so a window always renders to the same
+    report and the run's own random stream is never read.
     """
     rng = Random(0)
 
+    def nodes(block: SensorBlock) -> list[Report]:
+        table = block.table
+        start = block.at_us - table.hold_us
+        at_ms = block.at_us // 1000
+        reports = []
+        for m in range(block.lo, block.hi):
+            if shape := table.shapes[m]:
+                source = table.machine_ids[m]
+                services = tuple(
+                    synthetic_service_report(
+                        _service_label(source, s), source, service_period_s,
+                        (start + offset) // 1000, rng,
+                    )
+                    for s, offset in shape
+                )
+                reports.append(Report(LevelKind.NODE, source, at_ms, services))
+        return reports
+
     def render(w: Window) -> Report:
-        if w.kind is not LevelKind.NODE:
-            return Report(w.kind, w.source, w.generated_at_ms, tuple(map(render, w.children)))
-        services = tuple(
-            synthetic_service_report(
-                _service_label(w.source, s), w.source, service_period_s, at // 1000, rng
-            )
-            for _, s, at in w.children
-        )
-        return Report(w.kind, w.source, w.generated_at_ms, services)
+        children = []
+        for child in w.children:
+            if child.level == 0:
+                children.extend(nodes(child))
+            else:
+                children.append(render(child))
+        return Report(w.kind, w.source, w.generated_at_ms, tuple(children))
 
     return render(window)
 
 
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
     """CSV rows as `csv.writer` would write them; service ids never need quoting."""
-    service_ids = trace.service_ids
+    services = range(trace.config.hierarchy.fanout[0])
+    labels = [[_service_label(mid, s) + "," for s in services] for mid in trace.channel_ids[0]]
     with open(path, "w", newline="") as handle:
         handle.write("service_id,emitted_at_us,arrived_root_at_us,propagation_us\r\n")
-        handle.writelines(
-            f"{service_ids[m][s]},{emitted},{now},{now - emitted}\r\n"
-            for now, leaves in trace.arrivals
-            for m, s, emitted in leaves
-        )
+        for now, blocks in trace.arrivals:
+            arrived = f",{now},"
+            for block in blocks:  # one joined write per block keeps each string small
+                table = block.table
+                start = block.at_us - table.hold_us
+                age = now - start
+                shapes = table.shapes
+                handle.write("".join([
+                    f"{labels[m][s]}{start + offset}{arrived}{age - offset}\r\n"
+                    for m in range(block.lo, block.hi)
+                    for s, offset in shapes[m]
+                ]))
 
 
 def write_machines_csv(path: Path | str, trace: SimTrace) -> None:
     """CSV rows as `csv.writer` would write them; ids and float reprs never need quoting."""
     with open(path, "w", newline="") as handle:
         handle.write("channel_id,level,utilization\r\n")
-        handle.writelines(
-            f"{machine_id},{level},{utilization!r}\r\n"
-            for machine_id, level, utilization in trace.machines
-        )
+        for level, (ids, utilization) in enumerate(zip(trace.channel_ids, trace.utilization)):
+            tail = f",{level},{utilization!r}\r\n"
+            handle.writelines([cid + tail for cid in ids])

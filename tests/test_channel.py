@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hiermon import channel as channel_module
 from hiermon.channel import (
     ChannelLevel,
     SensorLevel,
@@ -32,8 +33,16 @@ def fresh_sensor(phases_s=(0, 0), hold_s=10, period_s=10, machine=0):
 
 
 def flushed_node(sensors, now_us):
-    """Flush a sensor level; the last machine's node window, or None when it is empty."""
-    return dict(sensor_flush(sensors, now_us)).get(len(sensors.machine_ids) - 1)
+    """Flush a sensor level; the last machine's leaves read out of its block, as a node window.
+
+    None when that machine's window is empty.
+    """
+    machine = len(sensors.machine_ids) - 1
+    block = dict(sensor_flush(sensors, now_us)).get(machine // sensors.group)
+    leaves = () if block is None else tuple(leaf for leaf in block.children if leaf[0] == machine)
+    if not leaves:
+        return None
+    return Window(LevelKind.NODE, 0, sensors.machine_ids[machine], now_us // 1000, leaves)
 
 
 def fresh_channel(level=1, hold_s=30, top=False):
@@ -146,10 +155,10 @@ class TestSensor:
     def test_flush_covers_every_machine_in_index_order(self):
         phases = [(1,), (SECOND + 5,), (2,)]
         sensors = SensorLevel(["m-0001", "m-0002", "m-0003"], phases, 2 * SECOND, SECOND)
-        windows = sensor_flush(sensors, SECOND)
-        assert [(m, window.source, window.children) for m, window in windows] == [
-            (0, "m-0001", ((0, 0, 1),)),
-            (2, "m-0003", ((2, 0, 2),)),
+        blocks = sensor_flush(sensors, SECOND)
+        assert [(j, block.lo, block.hi, block.children) for j, block in blocks] == [
+            (0, 0, 1, ((0, 0, 1),)),
+            (2, 2, 3, ((2, 0, 2),)),
         ]
 
     @given(
@@ -188,6 +197,67 @@ class TestSensor:
         for now in range(hold_us, until_us + 1, hold_us):
             sensor_flush(sensors, now)
         assert (sensors.steady_shapes is not None) == kept
+
+
+class TestSensorBlocks:
+    @given(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=6, max_size=6),
+        st.integers(1, 20),
+        st.integers(1, 30),
+        st.sampled_from([1, 2, 3, 6]),
+        st.integers(1, 8),
+    )
+    def test_blocks_hold_their_machines_windows_in_machine_order(
+        self, machines, period, hold, group, flushes
+    ):
+        """One block per level-1 range with a leaf: its machines' windows, counted, oldest known."""
+        ids = [f"m-{m + 1:04d}" for m in range(len(machines))]
+        sensors = SensorLevel(ids, machines, period, hold, group=group)
+        for now in range(hold, flushes * hold + 1, hold):
+            expected = {}
+            for j in range(len(machines) // group):
+                leaves = tuple(
+                    (m, s, at)
+                    for m in range(j * group, (j + 1) * group)
+                    for s, at in brute_force_window(machines[m], period, hold, now)
+                )
+                if leaves:
+                    expected[j] = leaves
+            blocks = sensor_flush(sensors, now)
+            assert [j for j, _ in blocks] == sorted(expected)
+            for j, block in blocks:
+                assert (block.at_us, block.lo, block.hi) == (now, j * group, (j + 1) * group)
+                assert block.children == expected[j]
+                assert block.count == len(expected[j])
+                assert block.earliest_us == min(at for _, _, at in expected[j])
+
+    def test_steady_flush_reuses_its_table_without_computing_windows(self, monkeypatch):
+        phases = [(0, 3), (1, 2), (5, 5), (9, 0), (4, 8), (2, 6)]
+        sensors = SensorLevel([f"m-{m + 1:04d}" for m in range(6)], phases, 10, 10, group=2)
+        for now in (10, 20):  # the window opening at 10 is the first settled one
+            sensor_flush(sensors, now)
+        kept = sensors.steady_shapes
+        assert kept is not None
+
+        def forbidden(*args):
+            raise AssertionError("a steady flush computed a window shape")
+
+        monkeypatch.setattr(channel_module, "window_shape", forbidden)
+        for now in (30, 40, 50):
+            blocks = sensor_flush(sensors, now)
+            assert [(j, block.at_us, block.lo, block.hi) for j, block in blocks] == [
+                (0, now, 0, 2), (1, now, 2, 4), (2, now, 4, 6),
+            ]
+            assert all(block.table is kept for _, block in blocks)
+            assert [leaf for _, block in blocks for leaf in block.children] == [
+                (m, s, at)
+                for m, machine_phases in enumerate(phases)
+                for s, at in brute_force_window(machine_phases, 10, 10, now)
+            ]
+
+    def test_machines_must_split_into_whole_ranges(self):
+        with pytest.raises(ValueError, match="ranges of 2"):
+            SensorLevel(["m-0001", "m-0002", "m-0003"], [(0,)] * 3, 10, 10, group=2)
 
 
 class TestChannelPublish:

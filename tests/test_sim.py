@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermon import channel, cli, report, sim
-from hiermon.channel import Window, window_leaves
+from hiermon.channel import SensorLevel, Window, sensor_flush, window_leaves
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     LoadCoefficients,
@@ -25,7 +25,7 @@ from hiermon.loadmodel import (
     level_report_sizes_kb,
 )
 from hiermon.model import HierarchyConfig, LatencyBound, machines_total
-from hiermon.report import LevelKind, iter_leaves, measure, parse, serialize
+from hiermon.report import iter_leaves, measure, parse, serialize
 from hiermon.sim import (
     LosslessnessReport,
     SimConfig,
@@ -78,6 +78,26 @@ class TestSimConfig:
         hierarchy = HierarchyConfig.from_seconds(1, [1, 2], [2, 2], 0.0005)
         with pytest.raises(ValueError, match="1 ms"):
             SimConfig.build(hierarchy)
+
+    def test_row_budget_refuses_before_any_per_machine_state(self, monkeypatch, capsys, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refused run built per-machine state")
+
+        monkeypatch.setattr(sim, "SensorLevel", forbidden)
+        # 4 000 000 machines x 1 service x 9 sensor flushes in the default 270 s
+        argv = ["--out", str(tmp_path), "simulate", "--preset", "two-level-50", "--n-total", "4000000"]
+        assert cli.main(argv) == 2
+        assert "36000000 rows, above the budget of 10000000" in capsys.readouterr().err
+
+    def test_max_rows_raises_the_budget(self, capsys, tmp_path):
+        # 10 machines x 1 service x 6 sensor flushes in the default 360 s
+        argv = ["--out", str(tmp_path), "simulate", "--preset", "single-level", "--n-total", "10"]
+        assert cli.main([*argv, "--max-rows", "59"]) == 2
+        assert "60 rows, above the budget of 59" in capsys.readouterr().err
+        assert cli.main([*argv, "--max-rows", "60"]) == 0
+        hierarchy = HierarchyConfig.from_seconds(1, [1, 10], [60, 60], 60)
+        with pytest.raises(ValueError, match="budget of 59"):
+            SimConfig.build(hierarchy, max_rows=59)
 
     def test_invalid_hierarchy_rejected(self):
         bad = HierarchyConfig(1, (1, 0), (2 * SECOND, 2 * SECOND), 2 * SECOND)
@@ -325,6 +345,7 @@ def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
     assert verify_against_model(trace).bound_respected
     assert check_losslessness(trace).ok
     assert check_losslessness(trace) == multiset_audit(trace, root_windows(root_flushes))[0]
+    assert check_losslessness(trace).published <= config.row_bound
     assert check_staleness(trace)
     deliveries = trace.deliveries
     assert trace.delivered == len(deliveries)
@@ -345,12 +366,18 @@ INVENTED = (0, 0, 1)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
-@pytest.mark.parametrize("fault", ["repeat", "drop", "invent"])
+@pytest.mark.parametrize("fault", ["repeat", "drop", "invent", "replace", "copy"])
 def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
-    """A channel level that repeats, drops or invents one child window is caught and counted."""
+    """A channel level that repeats, drops, invents or copies one child is caught and counted.
+
+    ``replace`` sends an invented child in place of the first one, and
+    ``copy`` an equal copy of it: the audit settles a block that is not the
+    published object leaf by leaf, and a copy loses nothing.
+    """
     original = sim.channel_flush
     faults = []
-    invented = Window(LevelKind.NODE, 0, "m-0001", 0, (INVENTED,))
+    invented = sensor_flush(SensorLevel(["m-0001"], [(1,)], SECOND, SECOND), SECOND)[0][1]
+    assert invented.children == (INVENTED,)
 
     def faulty_flush(channels, now_us):
         out = original(channels, now_us)
@@ -360,6 +387,8 @@ def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
                 "repeat": window.children + window.children[:1],
                 "drop": window.children[1:],
                 "invent": window.children + (invented,),
+                "replace": window.children[1:] + (invented,),
+                "copy": (window.children[0]._replace(),) + window.children[1:],
             }[fault]
             out[0] = (j, window._replace(children=children))
             faults.append(now_us)
@@ -372,9 +401,9 @@ def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
     assert faults
     report, repeated = multiset_audit(trace, root_windows(root_flushes))
     assert check_losslessness(trace) == report
-    assert not report.ok
+    assert report.ok == (fault == "copy")
     # each repeated leaf repeats once; an invented leaf was never in flight
-    assert report.duplicated == repeated + (fault == "invent")
+    assert report.duplicated == repeated + (fault in ("invent", "replace"))
 
 
 @pytest.mark.parametrize(
@@ -398,6 +427,28 @@ def test_audit_counts_missing_leaves_for_an_understated_bound(monkeypatch, confi
     report, repeated = multiset_audit(trace, root_windows(root_flushes))
     assert report.missing > 0 and repeated == 0
     assert check_losslessness(trace) == report
+
+
+def test_ranges_that_caught_nothing_publish_nothing(monkeypatch):
+    """A sensor flush sends no block for a level-1 range whose machines all caught nothing."""
+    hierarchy, seed, jitter, _, _ = PINNED_OUTPUTS["sparse"]
+    flush = sim.sensor_flush
+    published = []
+
+    def recording(sensors, now_us):
+        out = flush(sensors, now_us)
+        published.append([block for _, block in out])
+        return out
+
+    monkeypatch.setattr(sim, "sensor_flush", recording)
+    trace = run(SimConfig.build(hierarchy, seed=seed, jitter_fraction=jitter))
+    channels = machines_total(hierarchy) // hierarchy.fanout[1]
+    assert all(block.count > 0 for blocks in published for block in blocks)
+    assert any(len(blocks) < channels for blocks in published)
+    # the counts of one window per machine, where an empty window was not published
+    assert trace.event_counts == Counter(
+        {sim.EventKind.SENSOR_FLUSH: 24, sim.EventKind.CHANNEL_ARRIVAL: 30, sim.EventKind.CHANNEL_FLUSH: 14}
+    )
 
 
 class TestEdgeReports:
@@ -424,18 +475,20 @@ class TestEdgeReports:
         assert trace.delivered > 0
         pending = [getattr(trace, field.name) for field in dataclasses.fields(trace)]
         seen = set()
-        windows = 0
+        windows = leaves = 0
         while pending:
             value = pending.pop()
             if id(value) in seen:
                 continue
             seen.add(id(value))
             windows += isinstance(value, Window)
+            leaves += type(value) is tuple and len(value) == 3 and all(type(x) is int for x in value)
             if isinstance(value, dict):
                 pending.extend(value.items())
             elif isinstance(value, (tuple, list, set, frozenset)):
                 pending.extend(value)
         assert windows == 0
+        assert leaves == 0
 
     def test_run_builds_no_reports(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -5,11 +5,19 @@ window; intermediate reports wrap lower-level reports; the single system
 report at the tree root transitively contains every service report.  The
 wire format is plain single-line UTF-8 XML so serialized size is
 deterministic and comparable.
+
+`parse` has two paths.  A single regex scan reads the exact form `serialize`
+writes; anything else (whitespace between elements, another attribute
+order, entity or character references, a prolog, and every malformed or
+schema-violating document) goes to the ElementTree walk, the only source of
+parse errors.  Both build values with the same conversions and constructors,
+so for any input the scan accepts, the two paths return equal reports.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
 from random import Random
@@ -42,6 +50,16 @@ class SchemaViolationError(ReportError):
     """Well-formed XML that does not describe a valid report tree."""
 
 
+#: Characters XML 1.0 cannot carry, even as a character reference.
+_XML_ILLEGAL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_xml_text(*texts: str) -> None:
+    joined = "".join(texts)
+    if not joined.isprintable() and _XML_ILLEGAL.search(joined):  # printable: no control chars
+        raise ValueError("ids and metric names must be characters XML 1.0 can carry")
+
+
 class LevelKind(enum.Enum):
     NODE = "node"
     INTERMEDIATE = "intermediate"
@@ -68,6 +86,7 @@ class ServiceReport:
         names = [name for name, _ in self.metrics]
         if len(set(names)) != len(names):
             raise ValueError("metric names must be unique within a report")
+        _check_xml_text(self.service_id, self.source_machine, *names)
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,7 @@ class Report:
     def __post_init__(self) -> None:
         if not self.source:
             raise ValueError("source must be non-empty")
+        _check_xml_text(self.source)
         if not self.children:
             raise ValueError("a report must contain at least one child")
         if self.level_kind is LevelKind.NODE:
@@ -159,10 +179,19 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
+_ESCAPED = re.compile('[&<>"\t\n\r]')
+
+
 def _attr(value: str) -> str:
-    """Escape an attribute value: ``&`` first, so no entity is escaped twice."""
+    """Escape as `xml.sax.saxutils.quoteattr` does, ``&`` first so no entity is escaped twice.
+
+    Tab, newline and CR become references; a parser reads them raw as spaces.
+    """
+    if not _ESCAPED.search(value):  # one scan is cheaper than seven replaces
+        return value
     return (
         value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+        .replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
     )
 
 
@@ -307,8 +336,72 @@ def _parse_report(elem: ElementTree.Element) -> Report:
         raise SchemaViolationError(str(exc)) from None
 
 
+#: An attribute value `serialize` writes with no escaping: no quote, markup,
+#: reference, control character or XML non-character.
+_VALUE = r'[^"<>&\x00-\x1f\ufffe\uffff]*'
+#: One token of the canonical form: a whole service report with its metrics,
+#: a report's open tag, or a report's close tag.
+_TOKEN = re.compile(
+    f'<service-report service="({_VALUE})" source="({_VALUE})"'
+    f' period-s="({_VALUE})" generated-at-ms="({_VALUE})">'
+    f'((?:<metric name="{_VALUE}" value="{_VALUE}"/>)*)</service-report>'
+    f'|<report kind="({_VALUE})" source="({_VALUE})" generated-at-ms="({_VALUE})">'
+    "|</report>"
+)
+
+
+def _parse_canonical(data: bytes | str) -> Report | None:
+    """The report `data` holds if it is exactly in the form `serialize` writes, else None.
+
+    Tokens must tile the text from its first character to its last, and a
+    stack of open reports rebuilds the tree.  Values go through the
+    conversions and constructors of the ElementTree walk, so the constructors
+    check what may nest in what; any failure there, like any mismatch,
+    returns None rather than raising.
+    """
+    try:
+        text = data if isinstance(data, str) else str(data, "utf-8")
+        document: list = []
+        open_reports: list[tuple] = [(None, None, None, document)]
+        end = 0
+        for token in _TOKEN.finditer(text):
+            if token.start() != end:
+                return None
+            end = token.end()
+            service, source, period, at, metrics, kind, report_source, report_at = token.groups()
+            if service is not None:
+                fields = metrics.split('"')  # [.., name, .., value, ..] per metric
+                open_reports[-1][3].append(ServiceReport(
+                    service, source, float(period), int(at),
+                    tuple(zip(fields[1::4], map(float, fields[3::4]))),
+                ))
+            elif kind is not None:
+                open_reports.append((LevelKind(kind), report_source, int(report_at), []))
+            elif len(open_reports) > 1:
+                level_kind, report_source, report_at, children = open_reports.pop()
+                open_reports[-1][3].append(Report(level_kind, report_source, report_at, tuple(children)))
+            else:
+                return None
+        whole = end == len(text) and len(open_reports) == 1 and len(document) == 1
+        return document[0] if whole and isinstance(document[0], Report) else None
+    except ValueError:  # a failed conversion or constructor check, or UnicodeDecodeError
+        return None
+
+
 def parse(data: bytes | str) -> Report:
-    """Inverse of :func:`serialize`; rejects anything the schema forbids."""
+    """Inverse of :func:`serialize`; rejects anything the schema forbids.
+
+    Reads canonical input with `_parse_canonical` and anything else with the
+    ElementTree walk `_parse_tree`, the only path that raises; both give
+    equal reports for input the scan reads, except that the recursive walk
+    fails on nesting deeper than the interpreter's recursion limit.
+    """
+    parsed = _parse_canonical(data)
+    return parsed if parsed is not None else _parse_tree(data)
+
+
+def _parse_tree(data: bytes | str) -> Report:
+    """Parse through ElementTree, checking the schema element by element."""
     try:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:

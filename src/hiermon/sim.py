@@ -25,8 +25,8 @@ Invariants.
   `channel.SensorBlock` per non-empty level-1 channel; a steady schedule
   reuses one shape table, so such a flush costs O(channels).  Expanding
   blocks in machine order, then shape order, gives the order of one window
-  per machine, so `window_leaves`, `write_trace_csv`, `deliveries` and
-  `window_report` see the per-leaf depth-first order.
+  per machine, so `window_leaves`, `write_trace_csv` and `window_report`
+  see the per-leaf depth-first order.
 - The trace keeps no window and no leaf: `SimTrace.arrivals` logs
   ``(now, blocks)`` per root arrival, and counts and the worst propagation
   come from each block's leaf count and earliest offset.
@@ -53,7 +53,7 @@ from heapq import heappop, heappush
 from math import prod
 from pathlib import Path
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from hiermon.channel import (
     ChannelLevel,
@@ -152,14 +152,6 @@ class SimConfig:
         return machines_total(hierarchy) * hierarchy.fanout[0] * flushes
 
 
-class DeliveryRecord(NamedTuple):
-    service_id: str
-    emitted_at_us: int
-    arrived_root_at_us: int
-    propagation_us: int
-    level_path: tuple[str, ...]
-
-
 @dataclass
 class SimTrace:
     config: SimConfig
@@ -172,35 +164,6 @@ class SimTrace:
     staleness_bound: LatencyBound
     losslessness: LosslessnessReport
     event_counts: Counter
-
-    @property
-    def machines(self) -> list[tuple[str, int, float]]:
-        """``(id, level, utilization)`` for every sensor and channel, level by level."""
-        return [
-            (cid, level, utilization)
-            for level, (ids, utilization) in enumerate(zip(self.channel_ids, self.utilization))
-            for cid in ids
-        ]
-
-    @property
-    def deliveries(self) -> list[DeliveryRecord]:
-        """One record per delivered leaf, in arrival order, built from `arrivals` on each call."""
-        ids = self.channel_ids
-        fanout = self.config.hierarchy.fanout
-        levels = range(1, len(ids))
-        group = [prod(fanout[1 : level + 1]) for level in range(len(ids))]
-        return [
-            DeliveryRecord(
-                _service_label(ids[0][m], s),
-                emitted,
-                now,
-                now - emitted,
-                tuple(ids[level][m // group[level]] for level in levels),
-            )
-            for now, blocks in self.arrivals
-            for block in blocks
-            for m, s, emitted in block.children
-        ]
 
 
 @dataclass(frozen=True)
@@ -419,10 +382,10 @@ def check_staleness(trace: SimTrace) -> bool:
     """Every delivered leaf's age on root arrival stays within the staleness bound.
 
     A leaf's age is its propagation plus one service period, so the oldest
-    delivery decides: this is ``all(d.propagation_us + period <= limit for d
-    in trace.deliveries)`` without building the records.  With no deliveries
-    both read true, since `model.staleness_time` is the propagation bound
-    plus the service period and so never below the period.
+    delivery decides: this is "every ``trace.csv`` row has ``propagation_us +
+    period <= limit``" without reading the rows.  With no deliveries both
+    read true, since `model.staleness_time` is the propagation bound plus
+    the service period and so never below the period.
     """
     limit = trace.staleness_bound.micros
     period = trace.config.hierarchy.service_period_us

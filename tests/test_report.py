@@ -10,7 +10,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermon import report
@@ -170,6 +170,24 @@ class TestWireFormat:
         report = make_node_report(tricky, [sr(source=tricky)], now=1000)
         assert parse(serialize(report)) == report
 
+    @pytest.mark.parametrize("value", ["a\tb", "a\nb", "a\rb", "a\r\nb", " \t "])
+    def test_tab_newline_and_cr_survive_the_round_trip(self, value):
+        report = make_node_report(value, [sr(service=value, source=value, metrics=[(value, 1.0)])], 1)
+        assert b"\t" not in serialize(report) and b"\n" not in serialize(report)
+        assert parse(serialize(report)) == report
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ufffe", "\uffff"])
+    def test_characters_xml_cannot_carry_are_rejected(self, char):
+        text = f"a{char}b"
+        with pytest.raises(ValueError, match="XML 1.0"):
+            sr(service=text)
+        with pytest.raises(ValueError, match="XML 1.0"):
+            sr(source=text)
+        with pytest.raises(ValueError, match="XML 1.0"):
+            sr(metrics=[(text, 1.0)])
+        with pytest.raises(ValueError, match="XML 1.0"):
+            Report(LevelKind.NODE, text, 1, (sr(source=text[0]),))
+
 
 class TestParse:
     def test_roundtrip_of_default_report(self):
@@ -295,7 +313,7 @@ class TestMeasure:
 # --- property-based checks ---------------------------------------------------
 
 _id_text = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.&<>\"' é",
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.&<>\"' \t\n\ré\u2028\U0001f600",
     min_size=1,
     max_size=12,
 )
@@ -381,6 +399,86 @@ class TestReportProperties:
         assert serialize(a) == serialize(b)
 
 
+class TestCanonicalScan:
+    """`parse`'s regex scan against the ElementTree walk it sits in front of."""
+
+    @staticmethod
+    def assert_scan_agrees(blob: bytes) -> None:
+        fast = report._parse_canonical(blob)  # must never raise
+        if fast is not None:
+            # serialize again: equality of NaN metric values would fail
+            assert serialize(fast) == serialize(report._parse_tree(blob))
+
+    @given(_any_reports())
+    def test_scan_reads_what_serialize_writes_or_defers(self, tree):
+        blob = serialize(tree)
+        self.assert_scan_agrees(blob)
+        self.assert_scan_agrees(blob.decode())
+        if not any(c in blob for c in b"&\t\n\r"):
+            assert report._parse_canonical(blob) == tree
+
+    @settings(max_examples=300)
+    @given(_any_reports(), st.lists(st.tuples(st.sampled_from("did"), st.integers(0), st.integers(0),
+                                              st.integers(0), st.binary(min_size=1, max_size=3)),
+                                    min_size=1, max_size=3))
+    def test_scan_agrees_with_the_tree_walk_on_mutated_documents(self, tree, edits):
+        blob = serialize(tree)
+        for op, i, j, k, inserted in edits:
+            i, j, k = (n % (len(blob) + 1) for n in (i, j, k))
+            i, j = min(i, j), max(i, j)
+            if op == "d":  # delete a slice
+                blob = blob[:i] + blob[j:]
+            elif op == "i":  # insert bytes
+                blob = blob[:i] + inserted + blob[i:]
+            else:  # duplicate a slice at another offset
+                blob = blob[:k] + blob[i:j] + blob[k:]
+            self.assert_scan_agrees(blob)
+
+    def test_scan_handles_document_edges(self):
+        blob = serialize(default_node_report())
+        for edge in (b"", b" ", b"</report>", blob[:-9], blob + blob, blob + b" ", blob + b"x",
+                     b"\xef\xbb\xbf" + blob, b"\xff" + blob, blob.replace(b'"node"', b'"system"')):
+            self.assert_scan_agrees(edge)
+        for raw in (b"\t", b"\n", b"\r\n", "\u0085".encode()):  # whitespace a parser may normalize
+            self.assert_scan_agrees(blob.replace(b"m-0001", b"m-" + raw + b"0001"))
+
+    @pytest.mark.parametrize(
+        "original",
+        [
+            report_of_size_kb(0.5),
+            report_of_size_kb(5.0),
+            report_of_size_kb(50.0),
+            default_node_report(),
+            aggregate(
+                [report_of_size_kb(5.0, f"ch-1-{i}") for i in range(3)], LevelKind.SYSTEM, "root", 1
+            ),
+        ],
+        ids=["0.5kb", "5kb", "50kb", "default-node", "system"],
+    )
+    def test_reports_hiermon_writes_never_reach_element_tree(self, monkeypatch, original):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("canonical input fell back to ElementTree")
+
+        monkeypatch.setattr(report.ElementTree, "fromstring", forbidden)
+        assert parse(serialize(original)) == original
+
+    def test_non_canonical_document_goes_through_element_tree(self):
+        doc = (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<report generated-at-ms="5" source="ch&#38;1" kind="intermediate">\n'
+            '  <report kind="node" generated-at-ms="4" source="m-1">\n'
+            '    <service-report source="m-1" service="s&#38;0" generated-at-ms="3" period-s="2.0">\n'
+            '      <metric value="1.5" name="cpu"/>\n'
+            "    </service-report>\n"
+            "  </report>\n"
+            "</report>\n"
+        ).encode()
+        service = ServiceReport("s&0", "m-1", 2.0, 3, (("cpu", 1.5),))
+        node = Report(LevelKind.NODE, "m-1", 4, (service,))
+        assert report._parse_canonical(doc) is None
+        assert parse(doc) == Report(LevelKind.INTERMEDIATE, "ch&1", 5, (node,))
+
+
 def test_synthetic_service_report_has_eight_metrics():
     report = synthetic_service_report()
     assert len(report.metrics) == 8
@@ -389,7 +487,9 @@ def test_synthetic_service_report_has_eight_metrics():
 
 @given(st.text())
 def test_attribute_escape_matches_saxutils(value):
-    assert report._attr(value) == escape(value, {'"': "&quot;"})
+    # quoteattr's own entity map: the quote, and tab, newline and CR as references
+    entities = {'"': "&quot;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+    assert report._attr(value) == escape(value, entities)
 
 
 def test_cli_import_pulls_in_no_sax_or_url_modules():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -108,23 +109,28 @@ class TestSimConfig:
 class TestSingleMachine:
     def test_propagation_never_exceeds_hold_plus_floor(self):
         trace = run(tiny_single_level(coeffs=CHEAP))
-        assert trace.deliveries
+        assert trace.delivered
         assert trace.max_observed_prop_us <= 2 * SECOND + 2000
         assert verify_against_model(trace).bound_respected
 
-    def test_every_record_is_causal(self):
-        trace = run(tiny_single_level(coeffs=CHEAP))
-        for record in trace.deliveries:
-            assert record.propagation_us >= 0
-            assert record.arrived_root_at_us == record.emitted_at_us + record.propagation_us
+    def test_every_record_is_causal(self, tmp_path):
+        write_trace_csv(tmp_path / "trace.csv", run(tiny_single_level(coeffs=CHEAP)))
+        with open(tmp_path / "trace.csv", newline="") as handle:
+            for record in csv.DictReader(handle):
+                emitted, arrived, propagation = (
+                    int(record[key])
+                    for key in ("emitted_at_us", "arrived_root_at_us", "propagation_us")
+                )
+                assert propagation >= 0
+                assert arrived == emitted + propagation
 
 
 class TestDeterminism:
     def test_same_seed_same_trace(self, tmp_path):
         a = run(small_three_level(seed=7, jitter_fraction=0.5))
         b = run(small_three_level(seed=7, jitter_fraction=0.5))
-        assert a.deliveries == b.deliveries
-        assert a.machines == b.machines
+        assert a.delivered == b.delivered
+        assert (a.channel_ids, a.utilization) == (b.channel_ids, b.utilization)
         assert a.event_counts == b.event_counts
         for name, writer in (("trace", write_trace_csv), ("machines", write_machines_csv)):
             writer(tmp_path / f"{name}_a.csv", a)
@@ -133,10 +139,10 @@ class TestDeterminism:
                 tmp_path / f"{name}_b.csv"
             ).read_bytes()
 
-    def test_different_seed_changes_jittered_phases(self):
-        a = run(small_three_level(seed=1, jitter_fraction=0.5))
-        b = run(small_three_level(seed=2, jitter_fraction=0.5))
-        assert a.deliveries != b.deliveries
+    def test_different_seed_changes_jittered_phases(self, tmp_path):
+        write_trace_csv(tmp_path / "a.csv", run(small_three_level(seed=1, jitter_fraction=0.5)))
+        write_trace_csv(tmp_path / "b.csv", run(small_three_level(seed=2, jitter_fraction=0.5)))
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
 
 #: sha256 of trace.csv and machines.csv for fixed seeds, recorded when the
@@ -299,10 +305,25 @@ class TestAgainstModel:
         assert [now for now, _ in root_flushes] == [k * 2 * SECOND for k in range(1, 7)]
 
     def test_level_path_names_the_machine_chain(self):
-        trace = run(small_three_level())
-        by_service = {d.service_id: d for d in trace.deliveries}
-        record = by_service["m-0008.s0"]
-        assert record.level_path == ("ch-1-002", "ch-2-001", "ch-3-000")
+        _, root_flushes = run_recording_root_windows(small_three_level())
+
+        def level_paths(window, above=()):
+            """``(machine id, channel ids from level 1 up)`` for each machine under `window`."""
+            path = (window.source, *above)
+            for child in window.children:
+                if child.level == 0:
+                    for m in range(child.lo, child.hi):
+                        yield child.table.machine_ids[m], path
+                else:
+                    yield from level_paths(child, path)
+
+        paths = {
+            (machine, path)
+            for window in root_windows(root_flushes)
+            for machine, path in level_paths(window)
+            if machine == "m-0008"
+        }
+        assert paths == {("m-0008", ("ch-1-002", "ch-2-001", "ch-3-000"))}
 
 
     @pytest.mark.parametrize("holds", [(30, 10, 10), (30, 20, 20), (10, 30, 30)])
@@ -347,18 +368,21 @@ def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
     assert check_losslessness(trace) == multiset_audit(trace, root_windows(root_flushes))[0]
     assert check_losslessness(trace).published <= config.row_bound
     assert check_staleness(trace)
-    deliveries = trace.deliveries
-    assert trace.delivered == len(deliveries)
+    propagations = [
+        now - emitted
+        for now, blocks in trace.arrivals
+        for block in blocks
+        for _, _, emitted in block.children
+    ]
+    assert trace.delivered == len(propagations)
     period = config.hierarchy.service_period_us
     worst = trace.max_observed_prop_us
     # the run's own bound, then limits just at and just below the oldest delivery
     for limit in (trace.staleness_bound.micros, worst + period, worst + period - 1):
-        if not deliveries and limit < period:
+        if not propagations and limit < period:
             continue  # no model bound is below the period (see check_staleness)
         bounded = dataclasses.replace(trace, staleness_bound=LatencyBound(limit))
-        assert check_staleness(bounded) == all(
-            d.propagation_us + period <= limit for d in deliveries
-        )
+        assert check_staleness(bounded) == all(p + period <= limit for p in propagations)
 
 
 #: A leaf no sensor publishes: no service of machine 0 ticks 1 µs into the run.
@@ -499,17 +523,12 @@ class TestEdgeReports:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         trace = run(small_three_level(seed=4, jitter_fraction=0.5))
-        assert trace.deliveries
+        assert trace.delivered
         assert check_losslessness(trace).ok
 
     @pytest.mark.parametrize("tree", sorted(PINNED_OUTPUTS))
-    def test_simulate_builds_no_delivery_records(self, monkeypatch, capsys, tmp_path, tree):
+    def test_simulate_command_writes_pinned_outputs(self, capsys, tmp_path, tree):
         hierarchy, seed, jitter, trace_sha, machines_sha = PINNED_OUTPUTS[tree]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the simulate path must not build delivery records")
-
-        monkeypatch.setattr(sim, "DeliveryRecord", forbidden)
         config_path = tmp_path / "tree.txt"
         cli.write_config_file(config_path, hierarchy)
         argv = ["simulate", "--config", str(config_path), "--seed", str(seed),
@@ -519,9 +538,6 @@ class TestEdgeReports:
         assert hashlib.sha256((tmp_path / "machines.csv").read_bytes()).hexdigest() == machines_sha
         rows = (tmp_path / "trace.csv").read_text().count("\n") - 1
         assert f"deliveries: {rows}\n" in capsys.readouterr().out
-        trace = run(SimConfig.build(hierarchy, seed=seed, jitter_fraction=jitter))
-        with pytest.raises(AssertionError, match="delivery records"):
-            trace.deliveries  # the patch reaches the one place that builds records
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
@@ -593,7 +609,7 @@ class TestCsvExport:
         write_trace_csv(path, trace)
         lines = path.read_text().splitlines()
         assert lines[0] == "service_id,emitted_at_us,arrived_root_at_us,propagation_us"
-        assert len(lines) == 1 + len(trace.deliveries)
+        assert len(lines) == 1 + trace.delivered
         first = lines[1].split(",")
         assert first[0] == "m-0001.s0"
         assert all(cell.isdigit() for cell in first[1:])

@@ -45,9 +45,10 @@ class ShapeTable(NamedTuple):
     shapes: list[Shape]  # per machine
     counts: list[int]  # per channel: leaves in its range
     earliest: list[int]  # per channel: smallest offset in its range (0 when it has none)
+    steady: bool  # kept as the sensors' `steady_shapes`: every later flush reuses it
 
 
-def _shape_table(sensors: SensorLevel, shapes: list[Shape]) -> ShapeTable:
+def _shape_table(sensors: SensorLevel, shapes: list[Shape], steady: bool) -> ShapeTable:
     """Wrap one flush's per-machine shapes with each channel range's leaf count and earliest offset."""
     group = sensors.group
     counts, earliest = [], []
@@ -55,7 +56,7 @@ def _shape_table(sensors: SensorLevel, shapes: list[Shape]) -> ShapeTable:
         offsets = [offset for shape in shapes[lo : lo + group] for _, offset in shape]
         counts.append(len(offsets))
         earliest.append(min(offsets, default=0))
-    return ShapeTable(sensors.machine_ids, sensors.hold_us, group, shapes, counts, earliest)
+    return ShapeTable(sensors.machine_ids, sensors.hold_us, group, shapes, counts, earliest, steady)
 
 
 class SensorBlock(NamedTuple):
@@ -140,14 +141,15 @@ class SensorLevel:
     """Every machine's sensor: services tick at ``phase + k * period_us``, flushes every ``hold_us``.
 
     Machines are grouped into level-1 channel ranges of ``group`` machines,
-    one block each.  Once a window opens at or after ``settled_us`` (one
-    period, or the latest phase if later) every service has ticked, so a
-    machine's window shape depends only on the window start modulo the
-    period.  When the hold is a multiple of the period every such window
-    starts on the same residue: the first of them keeps its table in
-    ``steady_shapes`` and later flushes reuse it, so they cost O(channels).
-    Any other hold computes every window afresh and keeps nothing between
-    flushes, so memory never grows with the residues.
+    one block each.  A window opening at or after ``settled_us`` sees only
+    ticks of the endless schedule ``phase + k * period_us``, so a machine's
+    window shape depends only on the window start modulo the period.  That
+    is 0 when every phase is below the period (no tick of the schedule falls
+    before 0), else the latest phase.  When the hold is a multiple of the
+    period every settled window starts on the same residue: the first of
+    them keeps its table in ``steady_shapes`` and later flushes reuse it, so
+    they cost O(channels).  Any other hold computes every window afresh and
+    keeps nothing between flushes, so memory never grows with the residues.
     """
 
     machine_ids: Sequence[str]
@@ -164,7 +166,8 @@ class SensorLevel:
             self.next_flush_us = self.hold_us
         if self.group < 1 or len(self.phases) % self.group:
             raise ValueError(f"{len(self.phases)} machines do not split into ranges of {self.group}")
-        self.settled_us = max(self.period_us, max(map(max, self.phases), default=0))
+        latest = max(map(max, self.phases), default=0)
+        self.settled_us = 0 if latest < self.period_us else latest
 
 
 def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, SensorBlock]]:
@@ -183,8 +186,9 @@ def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, SensorBlo
     if table is None:
         period = sensors.period_us
         shapes = [window_shape(phases, period, start, now_us) for phases in sensors.phases]
-        table = _shape_table(sensors, shapes)
-        if start >= sensors.settled_us and sensors.hold_us % period == 0:
+        steady = start >= sensors.settled_us and sensors.hold_us % period == 0
+        table = _shape_table(sensors, shapes, steady)
+        if steady:
             sensors.steady_shapes = table
     group = sensors.group
     return [

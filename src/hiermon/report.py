@@ -11,7 +11,8 @@ writes; anything else (whitespace between elements, another attribute
 order, entity or character references, a prolog, and every malformed or
 schema-violating document) goes to the ElementTree walk, the only source of
 parse errors.  Both build values with the same conversions and constructors,
-so for any input the scan accepts, the two paths return equal reports.
+so for any input the scan accepts, the two paths return equal reports, up to
+nesting deeper than the recursion limit, which only the scan reads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import enum
 import re
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
+from math import inf
 from random import Random
 from typing import Iterator, Sequence
 
@@ -81,8 +83,8 @@ class ServiceReport:
             raise ValueError("service_id must be non-empty")
         if not self.source_machine:
             raise ValueError("source_machine must be non-empty")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be > 0")
+        if not 0.0 < self.period_s < inf:  # float bounds: NaN fails, and no int conversion
+            raise ValueError("period_s must be finite and > 0")
         names = [name for name, _ in self.metrics]
         if len(set(names)) != len(names):
             raise ValueError("metric names must be unique within a report")
@@ -222,9 +224,15 @@ def _write_report(report: Report, out: list[str]) -> None:
 
 
 def serialize(report: Report) -> bytes:
-    """Render a report as one line of UTF-8 XML; same report, same bytes."""
+    """Render a report as one line of UTF-8 XML; same report, same bytes.
+
+    Raises `ReportError` for nesting deeper than the interpreter's recursion limit.
+    """
     out: list[str] = []
-    _write_report(report, out)
+    try:
+        _write_report(report, out)
+    except RecursionError:
+        raise ReportError("report nesting too deep to serialize") from None
     return "".join(out).encode("utf-8")
 
 
@@ -394,7 +402,8 @@ def parse(data: bytes | str) -> Report:
     Reads canonical input with `_parse_canonical` and anything else with the
     ElementTree walk `_parse_tree`, the only path that raises; both give
     equal reports for input the scan reads, except that the recursive walk
-    fails on nesting deeper than the interpreter's recursion limit.
+    raises `SchemaViolationError` on nesting deeper than the interpreter's
+    recursion limit, which the scan reads.
     """
     parsed = _parse_canonical(data)
     return parsed if parsed is not None else _parse_tree(data)
@@ -406,7 +415,10 @@ def _parse_tree(data: bytes | str) -> Report:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
         raise MalformedXmlError(str(exc)) from None
-    return _parse_report(root)
+    try:
+        return _parse_report(root)
+    except RecursionError:
+        raise SchemaViolationError("report nesting too deep to parse") from None
 
 
 # --- synthetic report generators -------------------------------------------

@@ -23,10 +23,14 @@ order.
 Invariants.
 - Leaves exist only at the edge.  A sensor flush publishes one
   `channel.SensorBlock` per non-empty level-1 channel; a steady schedule
-  reuses one shape table, so such a flush costs O(channels).  Expanding
-  blocks in machine order, then shape order, gives the order of one window
-  per machine, so `window_leaves`, `write_trace_csv` and `window_report`
-  see the per-leaf depth-first order.
+  reuses one shape table, from the first flush when every phase is below
+  the period, so such a flush costs O(channels).  Expanding blocks in
+  machine order, then shape order, gives the order of one window per
+  machine, so `window_leaves`, `write_trace_csv` and `window_report` see
+  the per-leaf depth-first order.
+- `write_trace_csv` caches the rows of steady-table blocks per (range, age)
+  less their emission instant, so the cache is bounded by machines x
+  services x distinct ages; other tables cache nothing.
 - The trace keeps no window and no leaf: `SimTrace.arrivals` logs
   ``(now, blocks)`` per root arrival, and counts and the worst propagation
   come from each block's leaf count and earliest offset.
@@ -194,7 +198,7 @@ class LosslessnessReport:
 
 def _machine_labels(total: int) -> list[str]:
     width = max(4, len(str(total)))
-    return [f"m-{number:0{width}d}" for number in range(1, total + 1)]
+    return ["m-" + str(number).zfill(width) for number in range(1, total + 1)]
 
 
 def _service_label(machine_id: str, service: int) -> str:
@@ -207,7 +211,10 @@ def _covered(block: SensorBlock, horizon_us: int) -> int:
         return block.count
     if block.earliest_us > horizon_us:
         return 0
-    return sum(1 for leaf in block.children if leaf[2] <= horizon_us)
+    table = block.table
+    last = horizon_us - block.at_us + table.hold_us  # the latest covered offset
+    shapes = table.shapes[block.lo : block.hi]
+    return sum(1 for shape in shapes for _, offset in shape if offset <= last)
 
 
 def _settle_leaves(
@@ -282,10 +289,11 @@ def _run(config: SimConfig) -> SimTrace:
         for level in range(1, depth + 1)
     ]
 
-    services = hierarchy.fanout[0]
+    services = range(hierarchy.fanout[0])
     jitter = config.jitter_fraction
+    random = rng.random
     phases = [  # drawn machine by machine, then service by service
-        tuple(round(rng.random() * jitter * period_us) for _ in range(services)) for _ in machine_ids
+        tuple([round(random() * jitter * period_us) for _ in services]) for _ in machine_ids
     ]
     sensors = SensorLevel(machine_ids, phases, period_us, hold0_us, group=group[1])
     levels: list = [sensors] + [
@@ -444,10 +452,24 @@ def window_report(window: Window, service_period_s: float) -> Report:
     return render(window)
 
 
+def _row_pieces(block: SensorBlock, age: int) -> list[tuple[str, int, str]]:
+    """A block's rows delivered ``age`` after its window start: ``(label + ",", offset, tail)``."""
+    table = block.table
+    ids, shapes = table.machine_ids, table.shapes
+    return [
+        (f"{ids[m]}.s{s},", offset, f"{age - offset}\r\n")
+        for m in range(block.lo, block.hi)
+        for s, offset in shapes[m]
+    ]
+
+
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
-    """CSV rows as `csv.writer` would write them; service ids never need quoting."""
-    services = range(trace.config.hierarchy.fanout[0])
-    labels = [[_service_label(mid, s) + "," for s in services] for mid in trace.channel_ids[0]]
+    """CSV rows as `csv.writer` would write them; service ids never need quoting.
+
+    A row is ``label, start + offset, now, age - offset`` with ``age = now - start``.
+    """
+    # (id(steady table), lo, age) -> row pieces; `trace.arrivals` keeps the tables alive
+    pieces: dict[tuple[int, int, int], list[tuple[str, int, str]]] = {}
     with open(path, "w", newline="") as handle:
         handle.write("service_id,emitted_at_us,arrived_root_at_us,propagation_us\r\n")
         for now, blocks in trace.arrivals:
@@ -456,12 +478,21 @@ def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
                 table = block.table
                 start = block.at_us - table.hold_us
                 age = now - start
-                shapes = table.shapes
-                handle.write("".join([
-                    f"{labels[m][s]}{start + offset}{arrived}{age - offset}\r\n"
-                    for m in range(block.lo, block.hi)
-                    for s, offset in shapes[m]
-                ]))
+                if table.steady:
+                    key = (id(table), block.lo, age)
+                    rows = pieces.get(key)
+                    if rows is None:
+                        rows = pieces[key] = _row_pieces(block, age)
+                    handle.write("".join([
+                        f"{head}{start + offset}{arrived}{tail}" for head, offset, tail in rows
+                    ]))
+                else:
+                    ids, shapes = table.machine_ids, table.shapes
+                    handle.write("".join([
+                        f"{ids[m]}.s{s},{start + offset}{arrived}{age - offset}\r\n"
+                        for m in range(block.lo, block.hi)
+                        for s, offset in shapes[m]
+                    ]))
 
 
 def write_machines_csv(path: Path | str, trace: SimTrace) -> None:

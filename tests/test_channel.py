@@ -15,6 +15,7 @@ from hiermon.channel import (
     channel_publish,
     sensor_flush,
     window_leaves,
+    window_shape,
 )
 from hiermon.report import LevelKind, LevelMismatchError
 
@@ -187,7 +188,8 @@ class TestSensor:
         [
             (2, 2, 18, True),  # hold = period: one steady shape per machine
             (4, 2, 20, True),  # every window starts on the same residue
-            (2, 2, 2, False),  # the first window opens before one period: never kept
+            (2, 2, 2, True),  # every phase below the period: the first window is steady
+            (1, 1, 1, False),  # a phase at the period: the first window is not kept
             (3, 2, 30, False),  # shapes alternate with start % period
             (1, 3, 12, False),  # three residues
         ],
@@ -197,6 +199,23 @@ class TestSensor:
         for now in range(hold_us, until_us + 1, hold_us):
             sensor_flush(sensors, now)
         assert (sensors.steady_shapes is not None) == kept
+
+
+    @given(
+        st.lists(st.integers(0, 19), min_size=1, max_size=6),
+        st.integers(1, 20),
+        st.integers(1, 4),
+    )
+    def test_first_window_is_steady_when_every_phase_is_below_the_period(self, phases, period, k):
+        """With phases below the period and ``hold = k * period``, ``[0, hold)`` is every window."""
+        phases = [phase % period for phase in phases]
+        hold = k * period
+        first = window_shape(phases, period, 0, hold)
+        for j in range(1, 9):
+            assert window_shape(phases, period, j * hold, (j + 1) * hold) == first
+        sensors = SensorLevel(["m-0001"], [tuple(phases)], period, hold)
+        sensor_flush(sensors, hold)
+        assert sensors.steady_shapes is not None and sensors.steady_shapes.steady
 
 
 class TestSensorBlocks:
@@ -234,7 +253,7 @@ class TestSensorBlocks:
     def test_steady_flush_reuses_its_table_without_computing_windows(self, monkeypatch):
         phases = [(0, 3), (1, 2), (5, 5), (9, 0), (4, 8), (2, 6)]
         sensors = SensorLevel([f"m-{m + 1:04d}" for m in range(6)], phases, 10, 10, group=2)
-        for now in (10, 20):  # the window opening at 10 is the first settled one
+        for now in (10, 20):  # every phase is below the period: the first flush keeps its table
             sensor_flush(sensors, now)
         kept = sensors.steady_shapes
         assert kept is not None

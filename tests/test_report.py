@@ -20,6 +20,7 @@ from hiermon.report import (
     LevelMismatchError,
     MalformedXmlError,
     Report,
+    ReportError,
     SchemaViolationError,
     ServiceReport,
     SourceMismatchError,
@@ -49,6 +50,11 @@ class TestServiceReport:
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ValueError):
             sr(period=0.0)
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_and_infinite_periods_rejected(self, period):
+        with pytest.raises(ValueError, match="finite"):
+            sr(period=period)
 
     def test_duplicate_metric_names_rejected(self):
         with pytest.raises(ValueError):
@@ -271,6 +277,25 @@ class TestParse:
         )
         with pytest.raises(SchemaViolationError):
             parse(doc.encode())
+
+    def test_nesting_beyond_the_recursion_limit_is_a_schema_violation(self):
+        """The ElementTree walk recurses per level; too deep is a `ReportError`, not a crash."""
+        depth = 1_200
+        doc = (
+            '<report kind="intermediate" source="ch" generated-at-ms="1">' * depth
+            + '<report kind="node" source="m" generated-at-ms="1">'
+            + '<service-report service="s" source="m" period-s="1.0" generated-at-ms="1">'
+            + "</service-report></report>"
+            + "</report>" * depth
+        )
+        with pytest.raises(SchemaViolationError, match="too deep"):
+            report._parse_tree(doc)
+        with pytest.raises(SchemaViolationError, match="too deep"):
+            parse(doc.replace("><", ">\n<"))  # not canonical: only the walk reads it
+        deep = report._parse_canonical(doc)  # the scan does not recurse
+        assert deep is not None
+        with pytest.raises(ReportError, match="too deep to serialize"):
+            serialize(deep)
 
     def test_metric_must_be_empty(self):
         doc = (

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import statistics
 import tracemalloc
 from collections import Counter
@@ -269,6 +270,22 @@ def multiset_audit(trace, windows) -> tuple[LosslessnessReport, int]:
         duplicated=sum(count - (leaf in published) for leaf, count in counted.items()),
     )
     return report, sum(count - 1 for count in counted.values())
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=4, max_size=4),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from([1, 2, 4]),
+)
+def test_covered_counts_the_leaves_emitted_by_the_horizon(machines, period, hold, group):
+    """A block's covered count, read from its shapes, equals a count over its leaves."""
+    sensors = SensorLevel([f"m-{m + 1:04d}" for m in range(4)], machines, period, hold, group=group)
+    for now in range(hold, 4 * hold + 1, hold):
+        for _, block in sensor_flush(sensors, now):
+            for horizon in range(now - hold - 1, now + 1):
+                expected = sum(1 for _, _, emitted in block.children if emitted <= horizon)
+                assert sim._covered(block, horizon) == expected
 
 
 class TestAgainstModel:
@@ -602,7 +619,73 @@ class TestSaturation:
         assert peak < 1_000_000
 
 
+def reference_trace_csv(trace) -> bytes:
+    """trace.csv written leaf by leaf through `csv.writer`, the way the export is specified."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["service_id", "emitted_at_us", "arrived_root_at_us", "propagation_us"])
+    machine_ids = trace.channel_ids[0]
+    for now, blocks in trace.arrivals:
+        for block in blocks:
+            for machine, service, emitted in block.children:
+                writer.writerow([f"{machine_ids[machine]}.s{service}", emitted, now, now - emitted])
+    return out.getvalue().encode()
+
+
+@st.composite
+def export_cases(draw):
+    """A random tree, and the channel level (or None) repeating its first child once per flush."""
+    config = draw(random_small_trees().filter(_unsaturated))
+    return config, draw(st.sampled_from([None, *range(1, config.hierarchy.depth + 1)]))
+
+
 class TestCsvExport:
+    @settings(max_examples=150, deadline=None)
+    @given(export_cases())
+    def test_trace_csv_equals_a_leaf_by_leaf_writer(self, tmp_path_factory, case):
+        """Cached steady rows and directly formatted rows both give the reference bytes.
+
+        A channel level that repeats a child sends the same block (or a window
+        of blocks) to the root twice, so cached rows are written twice.
+        """
+        config, repeating = case
+        original = sim.channel_flush
+
+        def repeat_first_child(channels, now_us):
+            out = original(channels, now_us)
+            if channels.level == repeating and out:
+                j, window = out[0]
+                out[0] = (j, window._replace(children=window.children + window.children[:1]))
+            return out
+
+        with mock.patch.object(sim, "channel_flush", repeat_first_child):
+            trace = run(config)
+        path = tmp_path_factory.mktemp("export") / "trace.csv"
+        write_trace_csv(path, trace)
+        assert path.read_bytes() == reference_trace_csv(trace)
+
+    @pytest.mark.parametrize(
+        "tree, steady", [("residues", False), ("sparse", False), ("ties", True)]
+    )
+    def test_only_the_steady_table_is_cached(self, monkeypatch, tmp_path, tree, steady):
+        """A schedule that never settles builds no cached rows; a steady one builds them."""
+        hierarchy, seed, jitter, trace_sha, _ = PINNED_OUTPUTS[tree]
+        trace = run(SimConfig.build(hierarchy, seed=seed, jitter_fraction=jitter))
+        built = []
+        row_pieces = sim._row_pieces
+        monkeypatch.setattr(
+            sim, "_row_pieces", lambda *args: built.append(args) or row_pieces(*args)
+        )
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+        assert bool(built) == steady
+        blocks = [block for _, blocks in trace.arrivals for block in blocks]
+        assert all(block.table.steady == steady for block in blocks)
+        # one build per (range, age), however many times the rows are written
+        ages = {(block.lo, now - block.at_us + block.table.hold_us)
+                for now, blocks in trace.arrivals for block in blocks}
+        assert len(built) == (len(ages) if steady else 0)
+
     def test_trace_csv_header_and_shape(self, tmp_path):
         trace = run(tiny_single_level(coeffs=CHEAP))
         path = tmp_path / "trace.csv"

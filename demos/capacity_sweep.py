@@ -7,7 +7,7 @@ second level helps much less, because the root's inputs shrink only a
 little more while every report now pays an extra hop.
 """
 
-from hiermon.cli import PRESETS, max_machines, sweep_preset
+from hiermon.capacity import PRESETS, max_machines, sweep_preset
 from hiermon.loadmodel import DEFAULT_COEFFICIENTS
 
 print(f"{'machines':>9} | " + " | ".join(f"{name:^24}" for name in sorted(PRESETS)))

@@ -7,7 +7,7 @@ real operations on generated reports, fits fresh coefficients, and shows
 what the change does to a capacity estimate.
 """
 
-from hiermon.cli import PRESETS, max_machines
+from hiermon.capacity import PRESETS, max_machines
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     fit,

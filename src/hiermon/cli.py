@@ -3,8 +3,9 @@
 Four subcommands, all emitting CSV: `analyze` prints per-level propagation
 and staleness bounds, `calibrate` benchmarks this host and writes a
 coefficients file, `simulate` runs one deterministic simulation and exports
-its traces, and `sweep` walks machine counts per hierarchy preset the way a
-capacity-planning study would.
+its traces, and `sweep` writes the capacity curve and limit that
+`hiermon.capacity` computes per hierarchy preset.  This module only parses
+flags and files and formats results; the models live in their own modules.
 
 Exit codes: 0 success, 1 output pipe closed early, 2 usage/config error
 (including `simulate` on a saturated tree or over its row budget), 3
@@ -17,11 +18,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
-from math import prod
 from pathlib import Path
 from typing import Sequence
 
+from hiermon.capacity import PRESETS, UsageError, max_machines, sweep_preset
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     CalibrationUnstableError,
@@ -53,109 +53,6 @@ from hiermon.sim import (
     write_machines_csv,
     write_trace_csv,
 )
-
-class UsageError(Exception):
-    """Bad flags, bad files, or an impossible topology request."""
-
-
-@dataclass(frozen=True)
-class HierarchyPreset:
-    """One named tree shape whose top-level width is the free axis."""
-
-    name: str
-    lower_fanout: tuple[int, ...]  # fanout below the varied top level
-    hold_s: tuple[float, ...]
-    service_period_s: float
-
-    @property
-    def depth(self) -> int:
-        return len(self.lower_fanout)
-
-    @property
-    def machines_per_unit(self) -> int:
-        """Monitored machines added by each extra top-level feeder."""
-        return prod(self.lower_fanout[1:])
-
-    def config(self, n_total: int) -> HierarchyConfig:
-        unit = self.machines_per_unit
-        if n_total <= 0 or n_total % unit:
-            raise UsageError(
-                f"preset {self.name} grows in steps of {unit} machines; "
-                f"{n_total} is not a positive multiple"
-            )
-        return HierarchyConfig.from_seconds(
-            self.depth,
-            (*self.lower_fanout, n_total // unit),
-            self.hold_s,
-            self.service_period_s,
-        )
-
-
-PRESETS: dict[str, HierarchyPreset] = {
-    p.name: p
-    for p in (
-        HierarchyPreset("single-level", (1,), (60.0, 60.0), 60.0),
-        HierarchyPreset("two-level-50", (1, 50), (30.0, 30.0, 30.0), 30.0),
-        HierarchyPreset("two-level-100", (1, 100), (30.0, 30.0, 30.0), 30.0),
-        HierarchyPreset("three-level", (1, 10, 10), (10.0, 30.0, 30.0, 30.0), 10.0),
-    )
-}
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n_total: int
-    t_prop: LatencyBound
-    root_utilization: float
-    first_saturated_level: int | None
-
-
-def sweep_preset(
-    preset: HierarchyPreset,
-    coeffs: LoadCoefficients,
-    n_max: int,
-    step: int,
-) -> list[SweepRow]:
-    """Analytic capacity curve: one row per machine count, past saturation."""
-    unit = preset.machines_per_unit
-    stride = max(1, round(step / unit))
-    rows = []
-    for m in range(stride, n_max // unit + 1, stride):
-        config = preset.config(m * unit)
-        loads = hierarchy_loads(config, coeffs)
-        timings = hierarchy_timings(loads)
-        saturated = [lv for lv in range(1, config.depth + 1) if timings.t_in[lv].is_saturated]
-        rows.append(
-            SweepRow(
-                n_total=m * unit,
-                t_prop=propagation_time(config, timings, config.depth),
-                root_utilization=loads[config.depth].utilization,
-                first_saturated_level=saturated[0] if saturated else None,
-            )
-        )
-    return rows
-
-
-def max_machines(preset: HierarchyPreset, coeffs: LoadCoefficients) -> int:
-    """Largest machine count whose root utilization still stays below 1.
-
-    Root utilization is affine in the top-level fanout ``m``, so ``u(1)`` and
-    ``u(2)`` place the boundary; the exact predicate then settles rounding.
-    """
-
-    def root_u(m: int) -> float:
-        config = preset.config(m * preset.machines_per_unit)
-        return hierarchy_loads(config, coeffs)[config.depth].utilization
-
-    u1 = root_u(1)
-    if u1 >= 1.0:
-        return 0
-    m = max(1, math.ceil((1.0 - u1) / (root_u(2) - u1)))
-    while m > 1 and root_u(m) >= 1.0:
-        m -= 1
-    while root_u(m + 1) < 1.0:
-        m += 1
-    return m * preset.machines_per_unit
 
 
 # --- config and timings files -------------------------------------------------

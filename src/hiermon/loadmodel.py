@@ -154,7 +154,7 @@ def output_time(output_size_kb: float, coeffs: LoadCoefficients) -> float:
 # --- applying the model to a whole hierarchy --------------------------------
 
 
-def _emission_periods_us(config: HierarchyConfig) -> list[int]:
+def emission_periods_us(config: HierarchyConfig) -> list[int]:
     """Mean time between the reports a level emits: the running maximum of the holds."""
     periods = [config.hold_us[0]]
     for hold in config.hold_us[1:]:
@@ -171,35 +171,38 @@ def level_report_sizes_kb(config: HierarchyConfig) -> tuple[float, ...]:
     times ``p[i] / p[i-1]`` child reports.
     """
     sizes = [config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024]
-    periods = _emission_periods_us(config)
+    periods = emission_periods_us(config)
     for level in range(1, config.depth + 1):
         ratio = periods[level] / periods[level - 1]
         sizes.append(config.fanout[level] * ratio * sizes[level - 1])
     return tuple(sizes)
 
 
+def level_load(
+    coeffs: LoadCoefficients, period_us: int, size_kb: float, feeders: tuple[int, int, float] | None = None
+) -> MachineLoad:
+    """Load of one machine emitting ``size_kb`` every ``period_us``; ``feeders`` is the
+    (count, period_us, size_kb) of its inputs, None for a sensor."""
+    out_rate = 1.0 / (period_us / 1e6)
+    if feeders is None:
+        spec = WorkloadSpec(inputs=(), output=(out_rate, size_kb))
+        t_in = 0.0
+    else:
+        count, child_period_us, child_kb = feeders
+        in_rate = 1.0 / (child_period_us / 1e6)
+        spec = WorkloadSpec(inputs=((in_rate, child_kb, count),), output=(out_rate, size_kb))
+        t_in = input_time(spec, coeffs)
+    return MachineLoad(utilization(spec, coeffs), t_in, output_time(size_kb, coeffs))
+
+
 def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> dict[int, MachineLoad]:
     """Per-level machine load, from sensor machines (0) up to the root channel."""
     sizes = level_report_sizes_kb(config)
-    periods = _emission_periods_us(config)
-    loads: dict[int, MachineLoad] = {}
-    for level in range(config.depth + 1):
-        out_rate = 1.0 / (periods[level] / 1e6)
-        if level == 0:
-            spec = WorkloadSpec(inputs=(), output=(out_rate, sizes[0]))
-            t_in = 0.0
-        else:
-            in_rate = 1.0 / (periods[level - 1] / 1e6)
-            spec = WorkloadSpec(
-                inputs=((in_rate, sizes[level - 1], config.fanout[level]),),
-                output=(out_rate, sizes[level]),
-            )
-            t_in = input_time(spec, coeffs)
-        loads[level] = MachineLoad(
-            utilization=utilization(spec, coeffs),
-            t_in_s=t_in,
-            t_out_s=output_time(sizes[level], coeffs),
-        )
+    periods = emission_periods_us(config)
+    loads = {0: level_load(coeffs, periods[0], sizes[0])}
+    for level in range(1, config.depth + 1):
+        feeders = (config.fanout[level], periods[level - 1], sizes[level - 1])
+        loads[level] = level_load(coeffs, periods[level], sizes[level], feeders)
     return loads
 
 

@@ -11,8 +11,8 @@ writes; anything else (whitespace between elements, another attribute
 order, entity or character references, a prolog, and every malformed or
 schema-violating document) goes to the ElementTree walk, the only source of
 parse errors.  Both build values with the same conversions and constructors,
-so for any input the scan accepts, the two paths return equal reports, up to
-nesting deeper than the recursion limit, which only the scan reads.
+so for any input the scan accepts, the two paths return equal reports.
+Nesting deeper than `MAX_NESTING` reports is a schema violation on both.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from random import Random
 from typing import Iterator, Sequence
 
 REFERENCE_NODE_REPORT_BYTES = 512
+#: Deepest chain of nested reports `parse` accepts: a monitoring tree is a few levels
+#: deep, and `Report`'s generated ``==``, ``hash`` and ``repr`` recurse per level.
+MAX_NESTING = 100
 
 
 class ReportError(Exception):
@@ -127,11 +130,14 @@ class ReportSize:
 
 
 def iter_leaves(report: Report) -> Iterator[ServiceReport]:
-    for child in report.children:
-        if isinstance(child, ServiceReport):
-            yield child
+    """Every service report under ``report``, depth first, at any nesting depth."""
+    stack = [report]
+    while stack:
+        top = stack.pop()
+        if top.level_kind is LevelKind.NODE:
+            yield from top.children
         else:
-            yield from iter_leaves(child)
+            stack.extend(reversed(top.children))
 
 
 def make_node_report(
@@ -177,10 +183,6 @@ def aggregate(
     return Report(level_kind, source, now, tuple(deduped.values()))
 
 
-def _fmt(value: float) -> str:
-    return repr(value)
-
-
 _ESCAPED = re.compile('[&<>"\t\n\r]')
 
 
@@ -201,11 +203,11 @@ def _write_service_report(sr: ServiceReport, out: list[str]) -> None:
     out.append(
         f'<service-report service="{_attr(sr.service_id)}"'
         f' source="{_attr(sr.source_machine)}"'
-        f' period-s="{_fmt(sr.period_s)}"'
+        f' period-s="{sr.period_s!r}"'
         f' generated-at-ms="{sr.generated_at_ms}">'
     )
-    for name, value in sr.metrics:
-        out.append(f'<metric name="{_attr(name)}" value="{_fmt(value)}"/>')
+    escape = _attr if _ESCAPED.search("".join([name for name, _ in sr.metrics])) else str
+    out += [f'<metric name="{escape(name)}" value="{value!r}"/>' for name, value in sr.metrics]
     out.append("</service-report>")
 
 
@@ -309,9 +311,11 @@ def _parse_service_report(elem: ElementTree.Element) -> ServiceReport:
         raise SchemaViolationError(str(exc)) from None
 
 
-def _parse_report(elem: ElementTree.Element) -> Report:
+def _parse_report(elem: ElementTree.Element, depth: int = 1) -> Report:
     if elem.tag != "report":
         raise SchemaViolationError(f"unknown element <{elem.tag}>")
+    if depth > MAX_NESTING:
+        raise SchemaViolationError(f"report nesting too deep to parse (over {MAX_NESTING} levels)")
     _require_attrs(elem, _REPORT_ATTRS)
     _no_stray_text(elem)
     kind_value = elem.attrib["kind"]
@@ -332,7 +336,7 @@ def _parse_report(elem: ElementTree.Element) -> Report:
                 raise SchemaViolationError(
                     f"aggregated reports contain only <report>, found <{child.tag}>"
                 )
-            children.append(_parse_report(child))
+            children.append(_parse_report(child, depth + 1))
     try:
         return Report(
             level_kind=kind,
@@ -350,60 +354,59 @@ _VALUE = r'[^"<>&\x00-\x1f\ufffe\uffff]*'
 #: One token of the canonical form: a whole service report with its metrics,
 #: a report's open tag, or a report's close tag.
 _TOKEN = re.compile(
-    f'<service-report service="({_VALUE})" source="({_VALUE})"'
+    f'(<service-report service="({_VALUE})" source="({_VALUE})"'
     f' period-s="({_VALUE})" generated-at-ms="({_VALUE})">'
     f'((?:<metric name="{_VALUE}" value="{_VALUE}"/>)*)</service-report>'
     f'|<report kind="({_VALUE})" source="({_VALUE})" generated-at-ms="({_VALUE})">'
-    "|</report>"
+    "|</report>)"
 )
+_KINDS = {kind.value: kind for kind in LevelKind}
 
 
 def _parse_canonical(data: bytes | str) -> Report | None:
     """The report `data` holds if it is exactly in the form `serialize` writes, else None.
 
-    Tokens must tile the text from its first character to its last, and a
-    stack of open reports rebuilds the tree.  Values go through the
-    conversions and constructors of the ElementTree walk, so the constructors
-    check what may nest in what; any failure there, like any mismatch,
+    Tokens must tile the text; they are disjoint and never empty, so they do
+    exactly when their lengths add up to the text's.  A stack of open reports
+    rebuilds the tree.  Values go through the conversions and constructors of
+    the ElementTree walk, so the constructors check what may nest in what;
+    any failure there, like any mismatch or nesting past `MAX_NESTING`,
     returns None rather than raising.
     """
     try:
         text = data if isinstance(data, str) else str(data, "utf-8")
+        tokens = _TOKEN.findall(text)
+        if sum([len(token[0]) for token in tokens]) != len(text):
+            return None
         document: list = []
         open_reports: list[tuple] = [(None, None, None, document)]
-        end = 0
-        for token in _TOKEN.finditer(text):
-            if token.start() != end:
-                return None
-            end = token.end()
-            service, source, period, at, metrics, kind, report_source, report_at = token.groups()
-            if service is not None:
+        for whole, service, source, period, at, metrics, kind, report_source, report_at in tokens:
+            tag = whole[1]  # "s"ervice report, "r"eport open tag or "/report"
+            if tag == "s":
                 fields = metrics.split('"')  # [.., name, .., value, ..] per metric
                 open_reports[-1][3].append(ServiceReport(
                     service, source, float(period), int(at),
                     tuple(zip(fields[1::4], map(float, fields[3::4]))),
                 ))
-            elif kind is not None:
-                open_reports.append((LevelKind(kind), report_source, int(report_at), []))
-            elif len(open_reports) > 1:
+            elif tag == "r" and len(open_reports) <= MAX_NESTING:
+                open_reports.append((_KINDS[kind], report_source, int(report_at), []))
+            elif tag == "/" and len(open_reports) > 1:
                 level_kind, report_source, report_at, children = open_reports.pop()
                 open_reports[-1][3].append(Report(level_kind, report_source, report_at, tuple(children)))
             else:
                 return None
-        whole = end == len(text) and len(open_reports) == 1 and len(document) == 1
-        return document[0] if whole and isinstance(document[0], Report) else None
-    except ValueError:  # a failed conversion or constructor check, or UnicodeDecodeError
+        done = len(open_reports) == 1 and len(document) == 1
+        return document[0] if done and isinstance(document[0], Report) else None
+    except (KeyError, ValueError):  # an unknown kind, a failed conversion or check, bad UTF-8
         return None
 
 
 def parse(data: bytes | str) -> Report:
     """Inverse of :func:`serialize`; rejects anything the schema forbids.
 
-    Reads canonical input with `_parse_canonical` and anything else with the
-    ElementTree walk `_parse_tree`, the only path that raises; both give
-    equal reports for input the scan reads, except that the recursive walk
-    raises `SchemaViolationError` on nesting deeper than the interpreter's
-    recursion limit, which the scan reads.
+    Reads canonical input with `_parse_canonical` and anything else, nesting
+    past `MAX_NESTING` included, with the ElementTree walk `_parse_tree`, the
+    only path that raises; both give equal reports for input the scan reads.
     """
     parsed = _parse_canonical(data)
     return parsed if parsed is not None else _parse_tree(data)
@@ -415,10 +418,7 @@ def _parse_tree(data: bytes | str) -> Report:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
         raise MalformedXmlError(str(exc)) from None
-    try:
-        return _parse_report(root)
-    except RecursionError:
-        raise SchemaViolationError("report nesting too deep to parse") from None
+    return _parse_report(root)
 
 
 # --- synthetic report generators -------------------------------------------

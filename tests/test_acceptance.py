@@ -13,7 +13,8 @@ from random import Random
 
 import pytest
 
-from hiermon.cli import PRESETS, main, max_machines, sweep_preset
+from hiermon.capacity import PRESETS, max_machines, sweep_preset
+from hiermon.cli import main
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     CostSample,

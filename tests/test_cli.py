@@ -11,14 +11,12 @@ from random import Random
 
 import pytest
 
+from hiermon.capacity import PRESETS, max_machines, sweep_preset
 from hiermon.cli import (
-    PRESETS,
     UsageError,
     main,
-    max_machines,
     read_config_file,
     read_timings_file,
-    sweep_preset,
     write_config_file,
 )
 from hiermon.loadmodel import (

@@ -40,6 +40,17 @@ def sr(service="svc-00", source="m-0001", period=60.0, at=1000, metrics=()):
     return ServiceReport(service, source, period, at, tuple(metrics))
 
 
+def nested_document(depth):
+    """A canonical document: ``depth`` intermediate reports around one node report."""
+    return (
+        '<report kind="intermediate" source="ch" generated-at-ms="1">' * depth
+        + '<report kind="node" source="m" generated-at-ms="1">'
+        + '<service-report service="s" source="m" period-s="1.0" generated-at-ms="1">'
+        + "</service-report></report>"
+        + "</report>" * depth
+    )
+
+
 class TestServiceReport:
     def test_empty_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -279,23 +290,34 @@ class TestParse:
             parse(doc.encode())
 
     def test_nesting_beyond_the_recursion_limit_is_a_schema_violation(self):
-        """The ElementTree walk recurses per level; too deep is a `ReportError`, not a crash."""
-        depth = 1_200
-        doc = (
-            '<report kind="intermediate" source="ch" generated-at-ms="1">' * depth
-            + '<report kind="node" source="m" generated-at-ms="1">'
-            + '<service-report service="s" source="m" period-s="1.0" generated-at-ms="1">'
-            + "</service-report></report>"
-            + "</report>" * depth
-        )
+        """Too deep is a `ReportError` on both parse paths and in serialize, not a crash."""
+        doc = nested_document(1_200)
         with pytest.raises(SchemaViolationError, match="too deep"):
             report._parse_tree(doc)
         with pytest.raises(SchemaViolationError, match="too deep"):
             parse(doc.replace("><", ">\n<"))  # not canonical: only the walk reads it
-        deep = report._parse_canonical(doc)  # the scan does not recurse
-        assert deep is not None
+        assert report._parse_canonical(doc) is None  # the scan defers past MAX_NESTING
+        with pytest.raises(SchemaViolationError, match="too deep"):
+            parse(doc)
+        deep = default_node_report()
+        for _ in range(1_200):  # built directly, past what parse accepts
+            deep = Report(LevelKind.INTERMEDIATE, "ch", 1, (deep,))
         with pytest.raises(ReportError, match="too deep to serialize"):
             serialize(deep)
+        assert list(iter_leaves(deep)) == list(default_node_report().children)
+
+    def test_nesting_limit(self):
+        """At `MAX_NESTING` reports every operation works; one more is a schema violation."""
+        at_limit = parse(nested_document(report.MAX_NESTING - 1))
+        assert hash(at_limit) == hash(parse(nested_document(report.MAX_NESTING - 1)))
+        assert repr(at_limit).count("Report(level_kind=") == report.MAX_NESTING
+        assert len(list(iter_leaves(at_limit))) == 1
+        assert parse(serialize(at_limit)) == at_limit
+        over = nested_document(report.MAX_NESTING)
+        for doc in (over, over.replace("><", ">\n<")):
+            for data in (doc, doc.encode()):
+                with pytest.raises(SchemaViolationError, match="too deep"):
+                    parse(data)
 
     def test_metric_must_be_empty(self):
         doc = (

@@ -136,20 +136,34 @@ def window_shape(phases: Sequence[int], period_us: int, start_us: int, end_us: i
     return tuple([(service, last - start_us) for _, service, last in ticks])
 
 
+def _steady_shapes(phases: Sequence[tuple], period: int, hold: int, start: int) -> list[Shape]:
+    """Every machine's `window_shape` at a steady window ``[start, start + hold)``, in closed form.
+
+    Each service ticks ``hold / period`` times, first ``r = (phase - start) mod period`` into
+    the window and last at ``r + hold - period``; services order by ``(r, index)``.
+    """
+    base = hold - period
+    try:  # one service per machine, as in every preset: nothing to sort
+        return [((0, (phase - start) % period + base),) for (phase,) in phases]
+    except ValueError:
+        ticks = [sorted([((p - start) % period, s) for s, p in enumerate(ps)]) for ps in phases]
+        return [tuple([(s, r + base) for r, s in machine]) for machine in ticks]
+
+
 @dataclass(slots=True)
 class SensorLevel:
     """Every machine's sensor: services tick at ``phase + k * period_us``, flushes every ``hold_us``.
 
     Machines are grouped into level-1 channel ranges of ``group`` machines,
     one block each.  A window opening at or after ``settled_us`` sees only
-    ticks of the endless schedule ``phase + k * period_us``, so a machine's
-    window shape depends only on the window start modulo the period.  That
-    is 0 when every phase is below the period (no tick of the schedule falls
-    before 0), else the latest phase.  When the hold is a multiple of the
-    period every settled window starts on the same residue: the first of
-    them keeps its table in ``steady_shapes`` and later flushes reuse it, so
-    they cost O(channels).  Any other hold computes every window afresh and
-    keeps nothing between flushes, so memory never grows with the residues.
+    ticks of the endless schedule, so a machine's window shape depends only
+    on its start modulo the period; ``settled_us`` is 0 when every phase is
+    below the period, else the latest phase.  When the hold is a multiple of
+    the period every settled window starts on the same residue: the first
+    builds its table in closed form (`_steady_shapes`) and keeps it in
+    ``steady_shapes`` for every later flush, which so costs O(channels).
+    Any other hold computes each window with `window_shape` and keeps
+    nothing between flushes, so memory never grows with the residues.
     """
 
     machine_ids: Sequence[str]
@@ -184,12 +198,13 @@ def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, SensorBlo
     sensors.next_flush_us += sensors.hold_us
     table = sensors.steady_shapes
     if table is None:
-        period = sensors.period_us
-        shapes = [window_shape(phases, period, start, now_us) for phases in sensors.phases]
-        steady = start >= sensors.settled_us and sensors.hold_us % period == 0
-        table = _shape_table(sensors, shapes, steady)
-        if steady:
-            sensors.steady_shapes = table
+        period, hold = sensors.period_us, sensors.hold_us
+        if start >= sensors.settled_us and hold % period == 0:
+            shapes = _steady_shapes(sensors.phases, period, hold, start)
+            table = sensors.steady_shapes = _shape_table(sensors, shapes, True)
+        else:
+            shapes = [window_shape(phases, period, start, now_us) for phases in sensors.phases]
+            table = _shape_table(sensors, shapes, False)
     group = sensors.group
     return [
         (j, SensorBlock(now_us, j * group, j * group + group, table))

@@ -23,14 +23,14 @@ order.
 Invariants.
 - Leaves exist only at the edge.  A sensor flush publishes one
   `channel.SensorBlock` per non-empty level-1 channel; a steady schedule
-  reuses one shape table, from the first flush when every phase is below
-  the period, so such a flush costs O(channels).  Expanding blocks in
-  machine order, then shape order, gives the order of one window per
-  machine, so `window_leaves`, `write_trace_csv` and `window_report` see
-  the per-leaf depth-first order.
-- `write_trace_csv` caches the rows of steady-table blocks per (range, age)
-  less their emission instant, so the cache is bounded by machines x
-  services x distinct ages; other tables cache nothing.
+  builds one shape table in closed form, at the first flush when every
+  phase is below the period, and reuses it, so such a flush costs
+  O(channels).  Expanding blocks in machine order, then shape order, gives
+  the order of one window per machine, so `window_leaves`,
+  `write_trace_csv` and `window_report` see the per-leaf depth-first order.
+- `write_trace_csv` caches steady-table rows per (range, age) less their
+  emission instant (machines x services x distinct ages at most; other
+  tables cache nothing).  Both exports write `_BATCH_ROWS`-row batches.
 - The trace keeps no window and no leaf: `SimTrace.arrivals` logs
   ``(now, blocks)`` per root arrival, and counts and the worst propagation
   come from each block's leaf count and earliest offset.
@@ -41,8 +41,8 @@ Invariants.
   the counts equal a multiset count of root leaves.  Leaf-level work is left
   for that, for a flush straddling the coverage horizon, and for the
   end-of-run ``missing`` count.
-- `run` pauses the cyclic collector: the loop builds no reference cycles,
-  so reference counting frees all it discards.
+- `run` and `write_trace_csv` pause the cyclic collector: neither builds
+  reference cycles, so reference counting frees all they discard.
 - One `Random(seed)` draws the tick phases before the loop and nothing else:
   identical configs give byte-identical exports.
 """
@@ -52,12 +52,13 @@ from __future__ import annotations
 import enum
 import gc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from hiermon.channel import (
     ChannelLevel,
@@ -99,6 +100,8 @@ _KINDS = tuple(EventKind)
 _CHANNEL_FLUSH, _SENSOR_FLUSH, _ARRIVAL = range(len(_KINDS))  # heap keys
 
 _MIN_WINDOW_US = 1_000  # report timestamps are milliseconds; finer windows alias
+
+_BATCH_ROWS = 1_000  # rows per write of either CSV export: few writes, small strings
 
 #: Default ceiling on `SimConfig.row_bound`: ten million rows are about 0.4 GB
 #: of trace.csv and 5 s of export on a 2-CPU host (`BENCH_11.json`).
@@ -196,13 +199,28 @@ class LosslessnessReport:
         return self.missing == 0 and self.duplicated == 0
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector in a block or call; restore the caller's setting after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _machine_labels(total: int) -> list[str]:
     width = max(4, len(str(total)))
     return ["m-" + str(number).zfill(width) for number in range(1, total + 1)]
 
 
-def _service_label(machine_id: str, service: int) -> str:
-    return f"{machine_id}.s{service}"
+def _draw_phases(rng: Random, machines: int, services: int, jitter: float, period: int) -> list:
+    """Each machine's first tick per service, drawn machine by machine, then service by service."""
+    random = rng.random
+    draws = [round(random() * jitter * period) for _ in range(machines * services)]
+    return list(zip(*[iter(draws)] * services))
 
 
 def _covered(block: SensorBlock, horizon_us: int) -> int:
@@ -244,23 +262,13 @@ def _settle_leaves(
     return duplicated
 
 
+@_collector_paused()
 def run(config: SimConfig) -> SimTrace:
     """Execute one simulation; see the module docstring for the event rules.
 
-    The cyclic collector is paused while the run lasts (see the module
-    docstring).  Raises :class:`ValueError` naming the saturated levels when
-    the load model puts any channel level at utilization 1 or above.
+    Raises :class:`ValueError` naming the saturated levels when the load
+    model puts any channel level at utilization 1 or above.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(config)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run(config: SimConfig) -> SimTrace:
     hierarchy = config.hierarchy
     depth = hierarchy.depth
     loads = hierarchy_loads(hierarchy, config.coeffs)
@@ -279,7 +287,6 @@ def _run(config: SimConfig) -> SimTrace:
     n_machines = machines_total(hierarchy)
     period_us = hierarchy.service_period_us
     hold0_us = hierarchy.hold_us[0]
-    rng = Random(config.seed)
 
     machine_ids = _machine_labels(n_machines)
     # group[level] = machines under one level-`level` channel
@@ -289,12 +296,9 @@ def _run(config: SimConfig) -> SimTrace:
         for level in range(1, depth + 1)
     ]
 
-    services = range(hierarchy.fanout[0])
-    jitter = config.jitter_fraction
-    random = rng.random
-    phases = [  # drawn machine by machine, then service by service
-        tuple([round(random() * jitter * period_us) for _ in services]) for _ in machine_ids
-    ]
+    phases = _draw_phases(
+        Random(config.seed), n_machines, hierarchy.fanout[0], config.jitter_fraction, period_us
+    )
     sensors = SensorLevel(machine_ids, phases, period_us, hold0_us, group=group[1])
     levels: list = [sensors] + [
         ChannelLevel(channel_ids[level], level, hierarchy.hold_us[level], top_level=level == depth)
@@ -432,7 +436,7 @@ def window_report(window: Window, service_period_s: float) -> Report:
                 source = table.machine_ids[m]
                 services = tuple(
                     synthetic_service_report(
-                        _service_label(source, s), source, service_period_s,
+                        f"{source}.s{s}", source, service_period_s,
                         (start + offset) // 1000, rng,
                     )
                     for s, offset in shape
@@ -463,6 +467,7 @@ def _row_pieces(block: SensorBlock, age: int) -> list[tuple[str, int, str]]:
     ]
 
 
+@_collector_paused()
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
     """CSV rows as `csv.writer` would write them; service ids never need quoting.
 
@@ -470,11 +475,11 @@ def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
     """
     # (id(steady table), lo, age) -> row pieces; `trace.arrivals` keeps the tables alive
     pieces: dict[tuple[int, int, int], list[tuple[str, int, str]]] = {}
+    out = ["service_id,emitted_at_us,arrived_root_at_us,propagation_us\r\n"]
     with open(path, "w", newline="") as handle:
-        handle.write("service_id,emitted_at_us,arrived_root_at_us,propagation_us\r\n")
         for now, blocks in trace.arrivals:
             arrived = f",{now},"
-            for block in blocks:  # one joined write per block keeps each string small
+            for block in blocks:
                 table = block.table
                 start = block.at_us - table.hold_us
                 age = now - start
@@ -483,16 +488,18 @@ def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
                     rows = pieces.get(key)
                     if rows is None:
                         rows = pieces[key] = _row_pieces(block, age)
-                    handle.write("".join([
-                        f"{head}{start + offset}{arrived}{tail}" for head, offset, tail in rows
-                    ]))
+                    out += [f"{head}{start + offset}{arrived}{tail}" for head, offset, tail in rows]
                 else:
                     ids, shapes = table.machine_ids, table.shapes
-                    handle.write("".join([
+                    out += [
                         f"{ids[m]}.s{s},{start + offset}{arrived}{age - offset}\r\n"
                         for m in range(block.lo, block.hi)
                         for s, offset in shapes[m]
-                    ]))
+                    ]
+                if len(out) >= _BATCH_ROWS:
+                    handle.write("".join(out))
+                    out.clear()
+        handle.write("".join(out))
 
 
 def write_machines_csv(path: Path | str, trace: SimTrace) -> None:
@@ -501,4 +508,5 @@ def write_machines_csv(path: Path | str, trace: SimTrace) -> None:
         handle.write("channel_id,level,utilization\r\n")
         for level, (ids, utilization) in enumerate(zip(trace.channel_ids, trace.utilization)):
             tail = f",{level},{utilization!r}\r\n"
-            handle.writelines([cid + tail for cid in ids])
+            for lo in range(0, len(ids), _BATCH_ROWS):
+                handle.write(tail.join(ids[lo : lo + _BATCH_ROWS]) + tail)

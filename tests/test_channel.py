@@ -217,6 +217,31 @@ class TestSensor:
         sensor_flush(sensors, hold)
         assert sensors.steady_shapes is not None and sensors.steady_shapes.steady
 
+    @given(st.data(), st.integers(1, 6), st.integers(1, 20), st.integers(1, 4), st.booleans())
+    def test_steady_table_equals_window_shape_machine_by_machine(
+        self, data, services, period, k, ragged
+    ):
+        """The closed-form steady table is every machine's `window_shape`, at and after settling.
+
+        Phases reach three periods, so the schedule often settles after 0; a
+        ragged level mixes machines of one and of several services.
+        """
+        phase = st.integers(0, 3 * period)
+        width = st.integers(1, services) if ragged else st.just(services)
+        machine = width.flatmap(lambda n: st.tuples(*[phase] * n))
+        phases = data.draw(st.lists(machine, min_size=1, max_size=6))
+        hold = k * period
+        ids = [f"m-{m + 1:04d}" for m in range(len(phases))]
+        settled = SensorLevel(ids, phases, period, hold).settled_us
+        start = settled + data.draw(st.integers(0, 2 * period))
+        sensors = SensorLevel(ids, phases, period, hold, next_flush_us=start + hold)
+        sensor_flush(sensors, start + hold)
+        table = sensors.steady_shapes
+        assert table is not None and table.steady
+        for now in range(start + hold, start + 6 * hold, hold):  # every later flush reuses it
+            for m, machine_phases in enumerate(phases):
+                assert table.shapes[m] == window_shape(machine_phases, period, now - hold, now)
+
 
 class TestSensorBlocks:
     @given(

@@ -226,6 +226,24 @@ def enumerated_published(config: SimConfig) -> set:
     return published
 
 
+@given(
+    st.integers(1, 60),
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1_000, 60_000_000),
+)
+def test_phases_are_drawn_in_one_pass_as_machine_by_machine(
+    machines, services, seed, jitter, period
+):
+    """The one-pass draw gives the tuples of a nested machine-then-service draw, float for float."""
+    random = Random(seed).random
+    nested = [
+        tuple([round(random() * jitter * period) for _ in range(services)]) for _ in range(machines)
+    ]
+    assert sim._draw_phases(Random(seed), machines, services, jitter, period) == nested
+
+
 def run_recording_root_windows(config: SimConfig):
     """Run `config`; also return each root flush as ``(instant, windows)``, in flush order.
 
@@ -589,6 +607,33 @@ class TestCollectorPause:
             run(small_three_level())
         assert gc.isenabled() is collector
 
+    def test_trace_export_pauses_the_collector_and_restores_it(
+        self, monkeypatch, collector, tmp_path
+    ):
+        trace = run(small_three_level())
+        row_pieces = sim._row_pieces
+        during = []
+        monkeypatch.setattr(
+            sim, "_row_pieces", lambda *args: during.append(gc.isenabled()) or row_pieces(*args)
+        )
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        assert during and not any(during)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("failure", ["directory", "rows"])
+    def test_trace_export_restores_the_collector_when_the_write_raises(
+        self, monkeypatch, collector, tmp_path, failure
+    ):
+        trace = run(small_three_level())
+        if failure == "directory":
+            path, error = tmp_path, IsADirectoryError
+        else:
+            path, error = tmp_path / "trace.csv", ZeroDivisionError
+            monkeypatch.setattr(sim, "_row_pieces", lambda *args: 1 / 0)
+        with pytest.raises(error):
+            write_trace_csv(path, trace)
+        assert gc.isenabled() is collector
+
 
 class TestSaturation:
     def test_oversubscribed_root_is_flagged_not_simulated_away(self):
@@ -685,6 +730,19 @@ class TestCsvExport:
         ages = {(block.lo, now - block.at_us + block.table.hold_us)
                 for now, blocks in trace.arrivals for block in blocks}
         assert len(built) == (len(ages) if steady else 0)
+
+    @pytest.mark.parametrize("batch", [1, 7, 10**9])
+    def test_batch_size_leaves_the_bytes_alone(self, monkeypatch, tmp_path, batch):
+        """Both exports write the pinned bytes whether rows go out one by one, in 7s or at once."""
+        monkeypatch.setattr(sim, "_BATCH_ROWS", batch)
+        for hierarchy, seed, jitter, trace_sha, machines_sha in PINNED_OUTPUTS.values():
+            trace = run(SimConfig.build(hierarchy, seed=seed, jitter_fraction=jitter))
+            for name, write, sha in [
+                ("trace.csv", write_trace_csv, trace_sha),
+                ("machines.csv", write_machines_csv, machines_sha),
+            ]:
+                write(tmp_path / name, trace)
+                assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
 
     def test_trace_csv_header_and_shape(self, tmp_path):
         trace = run(tiny_single_level(coeffs=CHEAP))

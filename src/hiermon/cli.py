@@ -24,8 +24,11 @@ from typing import Sequence
 from hiermon.capacity import PRESETS, UsageError, max_machines, sweep_preset
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
+    MAX_CALIBRATION_KB,
+    MAX_CALIBRATION_REPS,
     CalibrationUnstableError,
     LoadCoefficients,
+    check_protocol,
     fit,
     hierarchy_loads,
     hierarchy_timings,
@@ -48,6 +51,7 @@ from hiermon.sim import (
     MAX_ROWS,
     SimConfig,
     check_losslessness,
+    check_staleness,
     run,
     verify_against_model,
     write_machines_csv,
@@ -183,16 +187,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    sizes = args.sizes
-    if len(set(sizes)) < 3:
-        raise UsageError("calibration needs at least 3 distinct sizes")
-    if args.reps < 30:
-        raise UsageError("calibration needs at least 30 repetitions")
+    check_protocol(args.sizes, args.reps)  # before any directory or report is made
     out = _out_dir(args)
     samples_path = out / "samples.csv"
     coeffs_path = Path(args.coeffs) if args.coeffs is not None else out / "coefficients.txt"
     try:
-        samples = measure_costs(sizes, args.reps)
+        samples = measure_costs(args.sizes, args.reps)
     except CalibrationUnstableError as exc:
         write_samples_csv(samples_path, exc.samples)
         print(f"calibration unstable: {exc}", file=sys.stderr)
@@ -240,6 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check = verify_against_model(trace)
     print(f"tightness: {check.tightness:.6f}")
     print(f"bound_respected: {'true' if check.bound_respected else 'false'}")
+    print(f"staleness_respected: {'true' if check_staleness(trace) else 'false'}")
     loss = check_losslessness(trace)
     status = "ok" if loss.ok else "VIOLATED"
     print(
@@ -252,6 +253,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.n_max < 1 or args.step < 1:
+        raise UsageError("--n-max and --step must be at least 1")
     coeffs = _load_coeffs(args)
     out = _out_dir(args)
     print(f"coefficients: {_coeffs_label(coeffs, args)}")
@@ -325,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser("calibrate", help="benchmark this host and fit coefficients")
     calibrate.add_argument("--sizes", type=_sizes_list, default=[0.5, 5.0, 25.0, 50.0],
-                           metavar="KB,KB,...", help="report sizes in kB (default 0.5,5,25,50)")
+                           metavar="KB,KB,...", help=f"report sizes in kB, each at most "
+                                                     f"{MAX_CALIBRATION_KB:g} (default 0.5,5,25,50)")
     calibrate.add_argument("--reps", type=int, default=50, metavar="N",
-                           help="timing repetitions per operation (default 50)")
+                           help=f"timing repetitions per operation, 30 to {MAX_CALIBRATION_REPS} (default 50)")
     _add_common(calibrate)
     calibrate.set_defaults(func=cmd_calibrate)
 

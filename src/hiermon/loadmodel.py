@@ -124,15 +124,17 @@ def utilization(spec: WorkloadSpec, coeffs: LoadCoefficients) -> float:
     return u
 
 
-def input_time(spec: WorkloadSpec, coeffs: LoadCoefficients) -> float:
+def input_time(spec: WorkloadSpec, coeffs: LoadCoefficients, u: float | None = None) -> float:
     """Seconds to deliver one inbound report, or infinity once the CPU saturates.
 
     The probe message is the largest input; its service time stretches by
-    1/(1-U) as utilization climbs.
+    1/(1-U) as utilization climbs.  ``u`` is ``utilization(spec, coeffs)``
+    when the caller already has it.
     """
     if not spec.inputs:
         raise ValueError("input_time needs at least one input flow")
-    u = utilization(spec, coeffs)
+    if u is None:
+        u = utilization(spec, coeffs)
     if u >= 1.0:
         return math.inf
     probe_kb = max(size for _, size, _ in spec.inputs)
@@ -186,13 +188,13 @@ def level_load(
     out_rate = 1.0 / (period_us / 1e6)
     if feeders is None:
         spec = WorkloadSpec(inputs=(), output=(out_rate, size_kb))
-        t_in = 0.0
     else:
         count, child_period_us, child_kb = feeders
         in_rate = 1.0 / (child_period_us / 1e6)
         spec = WorkloadSpec(inputs=((in_rate, child_kb, count),), output=(out_rate, size_kb))
-        t_in = input_time(spec, coeffs)
-    return MachineLoad(utilization(spec, coeffs), t_in, output_time(size_kb, coeffs))
+    u = utilization(spec, coeffs)
+    t_in = 0.0 if feeders is None else input_time(spec, coeffs, u)
+    return MachineLoad(u, t_in, output_time(size_kb, coeffs))
 
 
 def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> dict[int, MachineLoad]:
@@ -280,6 +282,25 @@ def _time_operation(op: Callable[[], object], repetitions: int) -> float:
     )
 
 
+#: Largest report size and repetition count `measure_costs` accepts.  A size
+#: costs one generated node report per 0.5 kB before any timing starts, and
+#: each repetition about 2 ms of CPU per operation and size.
+MAX_CALIBRATION_KB = 1024.0
+MAX_CALIBRATION_REPS = 1000
+
+
+def check_protocol(sizes_kb: Sequence[float], repetitions: int) -> None:
+    """Raise ValueError unless `measure_costs` can run this protocol and fit its result."""
+    if len(set(sizes_kb)) < 3:
+        raise ValueError("calibration needs at least 3 distinct sizes")
+    if not all(0.0 < size <= MAX_CALIBRATION_KB for size in sizes_kb):
+        raise ValueError(f"calibration sizes must be > 0 and at most {MAX_CALIBRATION_KB:g} kB")
+    if repetitions < 30:
+        raise ValueError("calibration needs at least 30 repetitions")
+    if repetitions > MAX_CALIBRATION_REPS:
+        raise ValueError(f"calibration takes at most {MAX_CALIBRATION_REPS} repetitions")
+
+
 def measure_costs(
     sizes_kb: Sequence[float], repetitions: int, rng: Random | None = None
 ) -> list[CostSample]:
@@ -288,10 +309,7 @@ def measure_costs(
     Records the measured size of each generated report, so samples feed
     straight into :func:`fit`.
     """
-    if len(set(sizes_kb)) < 3:
-        raise ValueError("calibration needs at least 3 distinct sizes")
-    if repetitions < 30:
-        raise ValueError("calibration needs at least 30 repetitions")
+    check_protocol(sizes_kb, repetitions)
     samples: list[CostSample] = []
     for size_kb in sorted(sizes_kb):
         report = report_of_size_kb(size_kb, rng=rng or Random(0))

@@ -9,18 +9,21 @@ deterministic and comparable.
 `parse` has two paths.  A single regex scan reads the exact form `serialize`
 writes; anything else (whitespace between elements, another attribute
 order, entity or character references, a prolog, and every malformed or
-schema-violating document) goes to the ElementTree walk, the only source of
-parse errors.  Both build values with the same conversions and constructors,
-so for any input the scan accepts, the two paths return equal reports.
-Nesting deeper than `MAX_NESTING` reports is a schema violation on both.
+schema-violating document) goes to the ElementTree walk, the reference and
+the only source of parse errors.  The scan enforces every rule of the
+`ServiceReport` and `Report` constructors itself and builds values without
+rerunning them; input that breaks one goes to the walk, so for any input the
+scan accepts, the two paths return equal reports.  Nesting deeper than
+`MAX_NESTING` reports is a schema violation on both.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import xml.etree.ElementTree as ElementTree
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from random import Random
 from typing import Iterator, Sequence
@@ -184,6 +187,7 @@ def aggregate(
 
 
 _ESCAPED = re.compile('[&<>"\t\n\r]')
+_KIND_NAMES = {kind: kind.value for kind in LevelKind}
 
 
 def _attr(value: str) -> str:
@@ -200,28 +204,21 @@ def _attr(value: str) -> str:
 
 
 def _write_service_report(sr: ServiceReport, out: list[str]) -> None:
-    out.append(
-        f'<service-report service="{_attr(sr.service_id)}"'
-        f' source="{_attr(sr.source_machine)}"'
-        f' period-s="{sr.period_s!r}"'
-        f' generated-at-ms="{sr.generated_at_ms}">'
-    )
-    escape = _attr if _ESCAPED.search("".join([name for name, _ in sr.metrics])) else str
-    out += [f'<metric name="{escape(name)}" value="{value!r}"/>' for name, value in sr.metrics]
-    out.append("</service-report>")
+    service, source, metrics = sr.service_id, sr.source_machine, sr.metrics
+    if _ESCAPED.search("".join([service, source, *[name for name, _ in metrics]])):
+        service, source = _attr(service), _attr(source)
+        metrics = [(_attr(name), value) for name, value in metrics]
+    body = "".join([f'<metric name="{name}" value="{value!r}"/>' for name, value in metrics])
+    out.append(f'<service-report service="{service}" source="{source}" period-s="{sr.period_s!r}"'
+               f' generated-at-ms="{sr.generated_at_ms}">{body}</service-report>')
 
 
 def _write_report(report: Report, out: list[str]) -> None:
-    out.append(
-        f'<report kind="{report.level_kind.value}"'
-        f' source="{_attr(report.source)}"'
-        f' generated-at-ms="{report.generated_at_ms}">'
-    )
+    out.append(f'<report kind="{_KIND_NAMES[report.level_kind]}" source="{_attr(report.source)}"'
+               f' generated-at-ms="{report.generated_at_ms}">')
+    write = _write_service_report if report.level_kind is LevelKind.NODE else _write_report
     for child in report.children:
-        if isinstance(child, ServiceReport):
-            _write_service_report(child, out)
-        else:
-            _write_report(child, out)
+        write(child, out)
     out.append("</report>")
 
 
@@ -349,18 +346,51 @@ def _parse_report(elem: ElementTree.Element, depth: int = 1) -> Report:
 
 
 #: An attribute value `serialize` writes with no escaping: no quote, markup,
-#: reference, control character or XML non-character.
+#: reference, control character or XML non-character.  Ids are also non-empty.
 _VALUE = r'[^"<>&\x00-\x1f\ufffe\uffff]*'
-#: One token of the canonical form: a whole service report with its metrics,
-#: a report's open tag, or a report's close tag.
-_TOKEN = re.compile(
-    f'(<service-report service="({_VALUE})" source="({_VALUE})"'
-    f' period-s="({_VALUE})" generated-at-ms="({_VALUE})">'
-    f'((?:<metric name="{_VALUE}" value="{_VALUE}"/>)*)</service-report>'
-    f'|<report kind="({_VALUE})" source="({_VALUE})" generated-at-ms="({_VALUE})">'
-    "|</report>)"
-)
+_ID = _VALUE[:-1] + "+"
+_SERVICE = (f'<service-report service="({_ID})" source="({_ID})"'
+            f' period-s="({_VALUE})" generated-at-ms="({_VALUE})">'
+            f'((?:<metric name="{_VALUE}" value="{_VALUE}"/>)*)</service-report>')
 _KINDS = {kind.value: kind for kind in LevelKind}
+_new, _set = object.__new__, object.__setattr__
+
+
+@functools.cache  # compiled on first use: runs that never parse skip the cost at import
+def _token() -> re.Pattern:
+    """A token of the canonical form: a node report holding one service report, a whole
+    service report with its metrics, a report's open tag, or a report's close tag."""
+    return re.compile(
+        f'(<report kind="node" source="({_ID})" generated-at-ms="({_VALUE})">{_SERVICE}</report>'
+        f'|{_SERVICE}|<report kind="({_VALUE})" source="({_ID})" generated-at-ms="({_VALUE})">|</report>)'
+    )
+
+
+def _service_report(service: str, source: str, period: str, at: str, metrics: str) -> ServiceReport:
+    """The scanned service report, or ValueError where `ServiceReport` would refuse it.  Built
+    with `object.__setattr__` per field, which keeps CPython's fast inline attributes."""
+    period_s = float(period)
+    fields = metrics.split('"')  # [.., name, .., value, ..] per metric
+    names = fields[1::4]
+    if not 0.0 < period_s < inf or len(set(names)) != len(names):
+        raise ValueError("not a valid service report")
+    sr = _new(ServiceReport)
+    _set(sr, "service_id", service)
+    _set(sr, "source_machine", source)
+    _set(sr, "period_s", period_s)
+    _set(sr, "generated_at_ms", int(at))
+    _set(sr, "metrics", tuple(zip(names, map(float, fields[3::4]))))
+    return sr
+
+
+def _report(kind: LevelKind, source: str, at: int, children: tuple) -> Report:
+    """A `Report` whose nesting the scan has already checked, built as `_service_report` is."""
+    r = _new(Report)
+    _set(r, "level_kind", kind)
+    _set(r, "source", source)
+    _set(r, "generated_at_ms", at)
+    _set(r, "children", children)
+    return r
 
 
 def _parse_canonical(data: bytes | str) -> Report | None:
@@ -368,35 +398,45 @@ def _parse_canonical(data: bytes | str) -> Report | None:
 
     Tokens must tile the text; they are disjoint and never empty, so they do
     exactly when their lengths add up to the text's.  A stack of open reports
-    rebuilds the tree.  Values go through the conversions and constructors of
-    the ElementTree walk, so the constructors check what may nest in what;
-    any failure there, like any mismatch or nesting past `MAX_NESTING`,
-    returns None rather than raising.
+    rebuilds the tree.  Each token is checked once against the constructors'
+    rules: ids non-empty and XML-legal (by the grammar, plus a surrogate search
+    of `str` input), periods finite and > 0, metric names unique, service
+    reports only in node reports and reports never in them, a system report
+    only as the document, no empty report, nesting at most `MAX_NESTING`.  A
+    broken rule or failed conversion returns None, leaving `_parse_tree` to judge.
     """
     try:
-        text = data if isinstance(data, str) else str(data, "utf-8")
-        tokens = _TOKEN.findall(text)
+        text = data if isinstance(data, str) else str(data, "utf-8")  # strict: no surrogates
+        if text is data and not text.isascii() and _XML_ILLEGAL.search(text):
+            return None
+        tokens = _token().findall(text)
         if sum([len(token[0]) for token in tokens]) != len(text):
             return None
         document: list = []
-        open_reports: list[tuple] = [(None, None, None, document)]
-        for whole, service, source, period, at, metrics, kind, report_source, report_at in tokens:
-            tag = whole[1]  # "s"ervice report, "r"eport open tag or "/report"
-            if tag == "s":
-                fields = metrics.split('"')  # [.., name, .., value, ..] per metric
-                open_reports[-1][3].append(ServiceReport(
-                    service, source, float(period), int(at),
-                    tuple(zip(fields[1::4], map(float, fields[3::4]))),
-                ))
-            elif tag == "r" and len(open_reports) <= MAX_NESTING:
-                open_reports.append((_KINDS[kind], report_source, int(report_at), []))
-            elif tag == "/" and len(open_reports) > 1:
-                level_kind, report_source, report_at, children = open_reports.pop()
-                open_reports[-1][3].append(Report(level_kind, report_source, report_at, tuple(children)))
-            else:
+        open_reports: list[tuple] = [(None, "", 0, document)]  # the document, then each open report
+        for token in tokens:  # groups: 0 whole, 1-7 one-service node, 8-12 service, 13-15 open tag
+            whole = token[0]
+            parent_kind, _, _, siblings = open_reports[-1]
+            if whole[1] == "s":  # a service report
+                if parent_kind is not LevelKind.NODE:
+                    return None
+                siblings.append(_service_report(*token[8:13]))
+            elif whole[1] == "/":  # a close tag
+                if len(open_reports) == 1 or not siblings:
+                    return None
+                kind, source, at, children = open_reports.pop()
+                open_reports[-1][3].append(_report(kind, source, at, tuple(children)))
+            elif parent_kind is LevelKind.NODE or len(open_reports) > MAX_NESTING:
                 return None
-        done = len(open_reports) == 1 and len(document) == 1
-        return document[0] if done and isinstance(document[0], Report) else None
+            elif whole[-2] == "t":  # ends in `</report>`: a node report with one service report
+                node = (_service_report(*token[3:8]),)
+                siblings.append(_report(LevelKind.NODE, token[1], int(token[2]), node))
+            else:  # an open tag
+                kind = _KINDS[token[13]]
+                if kind is LevelKind.SYSTEM and len(open_reports) > 1:
+                    return None
+                open_reports.append((kind, token[14], int(token[15]), []))
+        return document[0] if len(open_reports) == 1 and len(document) == 1 else None
     except (KeyError, ValueError):  # an unknown kind, a failed conversion or check, bad UTF-8
         return None
 

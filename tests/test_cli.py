@@ -21,6 +21,8 @@ from hiermon.cli import (
 )
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
+    MAX_CALIBRATION_KB,
+    MAX_CALIBRATION_REPS,
     LoadCoefficients,
     hierarchy_loads,
     write_coefficients,
@@ -353,6 +355,21 @@ def test_simulate_summary_and_files(capsys, tmp_path):
     assert len(machine_rows) == 21
 
 
+def test_simulate_prints_the_staleness_verdict_after_the_bound(capsys, tmp_path, monkeypatch):
+    from hiermon import cli
+
+    args = ("--out", str(tmp_path), "simulate", "--preset", "single-level", "--n-total", "20")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("bound_respected: true") + 1] == "staleness_respected: true"
+    checked = []
+    monkeypatch.setattr(cli, "check_staleness", lambda trace: checked.append(trace) or False)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and len(checked) == 1
+    assert _summary_value(out, "staleness_respected") == "false"
+
+
 def test_simulate_is_deterministic_per_seed(capsys, tmp_path):
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     args = ("simulate", "--preset", "two-level-50", "--n-total", "100",
@@ -461,6 +478,44 @@ def test_calibrate_rejects_weak_protocols(capsys, tmp_path):
     assert "30 repetitions" in err
 
 
+@pytest.mark.parametrize(
+    "sizes, reps, message",
+    [
+        ("-5,1,2", "30", "> 0"),
+        ("0,1,2", "30", "> 0"),
+        ("nan,1,2", "30", "> 0"),
+        (f"1,2,{MAX_CALIBRATION_KB * 2:g}", "30", f"at most {MAX_CALIBRATION_KB:g} kB"),
+        ("1,2,4", str(MAX_CALIBRATION_REPS + 1), f"at most {MAX_CALIBRATION_REPS} repetitions"),
+    ],
+)
+def test_calibrate_bounds_sizes_and_reps_before_building_reports(capsys, tmp_path, monkeypatch, sizes, reps,
+                                                                  message):
+    from hiermon import loadmodel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused calibration built a report")
+
+    monkeypatch.setattr(loadmodel, "report_of_size_kb", forbidden)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "--out", str(out_dir), "calibrate", f"--sizes={sizes}", "--reps", reps)
+    assert code == 2
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_calibrate_accepts_the_ceilings(capsys, tmp_path, monkeypatch):
+    from hiermon import cli
+    from hiermon.loadmodel import CostSample
+
+    seen = []
+    samples = [CostSample(s, 1e-5 + 1e-6 * s, 1e-5 + 1e-7 * s, 1e-6 + 1e-8 * s) for s in (0.5, 5, 25)]
+    monkeypatch.setattr(cli, "measure_costs", lambda sizes, reps: seen.append((sizes, reps)) or samples)
+    code, _, _ = run_cli(capsys, "--out", str(tmp_path), "calibrate",
+                         f"--sizes=0.5,5,{MAX_CALIBRATION_KB:g}", "--reps", str(MAX_CALIBRATION_REPS))
+    assert code == 0
+    assert seen == [([0.5, 5.0, MAX_CALIBRATION_KB], MAX_CALIBRATION_REPS)]
+
+
 def test_calibrate_unstable_keeps_samples(capsys, tmp_path, monkeypatch):
     from hiermon import cli
     from hiermon.loadmodel import CalibrationUnstableError, CostSample
@@ -522,6 +577,16 @@ def test_sweep_command_files(capsys, tmp_path):
         limits = {r["preset"]: int(r["max_machines"]) for r in csv.DictReader(handle)}
     assert limits == {"single-level": 1080, "two-level-50": 4600}
     assert "max_machines=1080" in out
+
+
+@pytest.mark.parametrize("flags", [["--n-max", "-5"], ["--n-max", "0"], ["--step", "0"], ["--step", "-50"]])
+def test_sweep_refuses_empty_ranges_before_writing(capsys, tmp_path, flags):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--out", str(out_dir), "sweep", *flags)
+    assert code == 2
+    assert "--n-max and --step must be at least 1" in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 # --- global flags and parsing ---------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hiermon import loadmodel
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     CalibrationUnstableError,
@@ -216,6 +217,18 @@ class TestHierarchyLoads:
         timings = hierarchy_timings(hierarchy_loads(cfg, DEFAULT_COEFFICIENTS))
         assert timings.t_in[1] == SATURATED
         assert propagation_time(cfg, timings, 1).is_saturated
+
+    @pytest.mark.parametrize("feeders", [None, (50, 30_000_000, 0.5), (1333, 60_000_000, 0.5)])
+    def test_level_load_evaluates_utilization_once(self, monkeypatch, feeders):
+        specs = []
+        monkeypatch.setattr(
+            loadmodel, "utilization", lambda spec, coeffs: specs.append(spec) or utilization(spec, coeffs)
+        )
+        load = loadmodel.level_load(DEFAULT_COEFFICIENTS, 30_000_000, 25.0, feeders)
+        assert len(specs) == 1
+        assert load.utilization == utilization(specs[0], DEFAULT_COEFFICIENTS)
+        if feeders is not None:  # saturated or not, the same value input_time computes for itself
+            assert load.t_in_s == input_time(specs[0], DEFAULT_COEFFICIENTS)
 
     def test_timings_cover_every_level(self):
         timings = hierarchy_timings(hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS))

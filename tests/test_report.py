@@ -446,8 +446,62 @@ class TestReportProperties:
         assert serialize(a) == serialize(b)
 
 
+def canonical_service(service="s", source="m", period="1.0", metrics=("a",)):
+    body = "".join(f'<metric name="{name}" value="1.5"/>' for name in metrics)
+    return (f'<service-report service="{service}" source="{source}" period-s="{period}"'
+            f' generated-at-ms="1">{body}</service-report>')
+
+
+def canonical_report(kind, body, source="m"):
+    return f'<report kind="{kind}" source="{source}" generated-at-ms="1">{body}</report>'
+
+
+def in_intermediate(*services, source="m"):
+    """A canonical intermediate report around one node report holding ``services``."""
+    return canonical_report("intermediate", canonical_report("node", "".join(services), source), "ch")
+
+
+#: Documents in the canonical form that each break one rule of the report constructors.
+BROKEN_CANONICAL = {
+    "empty-service-id": in_intermediate(canonical_service(service="")),
+    "empty-service-source": in_intermediate(canonical_service(source="")),
+    "empty-node-source": in_intermediate(canonical_service(), source=""),
+    "empty-node-source-two-services": in_intermediate(canonical_service(), canonical_service("t"), source=""),
+    "empty-report-source": canonical_report("intermediate", canonical_report("node", canonical_service()), ""),
+    **{f"period-{period}": in_intermediate(canonical_service(period=period))
+       for period in ("nan", "inf", "0.0", "-1.0")},
+    "duplicate-metric": in_intermediate(canonical_service(metrics=("a", "b", "a"))),
+    "duplicate-metric-two-services": in_intermediate(
+        canonical_service("t"), canonical_service(metrics=("a", "a"))),
+    "lone-surrogate": in_intermediate(canonical_service(service="s\ud800")),
+    "service-under-intermediate": canonical_report("intermediate", canonical_service()),
+    "report-in-node": canonical_report("node", canonical_report("node", canonical_service())),
+    "report-after-service-in-node": canonical_report(
+        "node", canonical_service() + canonical_report("node", canonical_service())),
+    "nested-system": canonical_report(
+        "intermediate", canonical_report("system", in_intermediate(canonical_service()))),
+    "empty-report": canonical_report("intermediate", ""),
+    "empty-node-report": canonical_report("intermediate", canonical_report("node", "")),
+    "bare-service-report": canonical_service(),
+}
+
+
 class TestCanonicalScan:
     """`parse`'s regex scan against the ElementTree walk it sits in front of."""
+
+    @pytest.mark.parametrize("doc", BROKEN_CANONICAL.values(), ids=BROKEN_CANONICAL.keys())
+    def test_scan_defers_every_constructor_rule_to_the_tree_walk(self, doc):
+        def raised(parser, data):
+            try:
+                parser(data)
+            except Exception as exc:  # noqa: BLE001 - the class is what is compared
+                return type(exc)
+            return None
+
+        variants = [doc] if "\ud800" in doc else [doc, doc.encode()]
+        for data in variants:
+            assert report._parse_canonical(data) is None
+            assert raised(parse, data) is raised(report._parse_tree, data) is not None
 
     @staticmethod
     def assert_scan_agrees(blob: bytes) -> None:
@@ -499,8 +553,15 @@ class TestCanonicalScan:
             aggregate(
                 [report_of_size_kb(5.0, f"ch-1-{i}") for i in range(3)], LevelKind.SYSTEM, "root", 1
             ),
+            Report(LevelKind.NODE, "m-1", 2, (sr("a", "m-1"),)),
+            Report(LevelKind.NODE, "m-1", 2, (sr("a", "m-1"), sr("b", "m-1"))),
+            Report(LevelKind.INTERMEDIATE, "ch", 3, (
+                Report(LevelKind.NODE, "m-1", 2, (sr("a", "m-1"), sr("b", "m-1"))),
+                Report(LevelKind.NODE, "m-2", 2, (sr("a", "m-2"),)),
+            )),
         ],
-        ids=["0.5kb", "5kb", "50kb", "default-node", "system"],
+        ids=["0.5kb", "5kb", "50kb", "default-node", "system", "node-one-service", "node-two-services",
+             "nodes-of-two-and-one-services"],
     )
     def test_reports_hiermon_writes_never_reach_element_tree(self, monkeypatch, original):
         def forbidden(*args, **kwargs):
@@ -554,3 +615,20 @@ def test_cli_import_pulls_in_no_sax_or_url_modules():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_scan_pattern_is_compiled_on_first_parse_not_at_import():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import hiermon.cli, hiermon.report as r; before = r._token.cache_info().currsize; "
+        "r.parse(r.serialize(r.default_node_report())); print(before, r._token.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1"]

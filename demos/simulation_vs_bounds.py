@@ -14,7 +14,6 @@ from hiermon.loadmodel import LoadCoefficients
 from hiermon.model import HierarchyConfig
 from hiermon.sim import (
     SimConfig,
-    check_losslessness,
     check_staleness,
     run,
     verify_against_model,
@@ -43,7 +42,7 @@ print(f"analytic bound:             {trace.analytic_bound.seconds:.3f}s")
 print(f"bound respected: {check.bound_respected}   tightness: {check.tightness:.3f}")
 print(f"staleness bound holds: {check_staleness(trace)}")
 
-loss = check_losslessness(trace)
+loss = trace.losslessness
 print(f"losslessness: published={loss.published} covered={loss.covered} "
       f"missing={loss.missing} duplicated={loss.duplicated}")
 

@@ -19,10 +19,6 @@ from hiermon.loadmodel import (
 from hiermon.model import HierarchyConfig, LatencyBound, propagation_time
 
 
-class UsageError(Exception):
-    """Bad flags, bad files, or an impossible topology request."""
-
-
 @dataclass(frozen=True)
 class HierarchyPreset:
     """One named tree shape whose top-level width is the free axis."""
@@ -44,7 +40,7 @@ class HierarchyPreset:
     def config(self, n_total: int) -> HierarchyConfig:
         unit = self.machines_per_unit
         if n_total <= 0 or n_total % unit:
-            raise UsageError(f"preset {self.name} grows in steps of {unit} machines; "
+            raise ValueError(f"preset {self.name} grows in steps of {unit} machines; "
                              f"{n_total} is not a positive multiple")
         return HierarchyConfig.from_seconds(
             self.depth, (*self.lower_fanout, n_total // unit), self.hold_s, self.service_period_s

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from hiermon.capacity import PRESETS, UsageError, max_machines, sweep_preset
+from hiermon.capacity import PRESETS, max_machines, sweep_preset
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     MAX_CALIBRATION_KB,
@@ -50,7 +50,6 @@ from hiermon.model import (
 from hiermon.sim import (
     MAX_ROWS,
     SimConfig,
-    check_losslessness,
     check_staleness,
     run,
     verify_against_model,
@@ -62,30 +61,23 @@ from hiermon.sim import (
 # --- config and timings files -------------------------------------------------
 
 
-def _read_kv(path: Path) -> dict[str, str]:
-    try:
-        return read_key_values(path)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
 def read_config_file(path: Path | str) -> HierarchyConfig:
     """Read a flat `h, fanout.i, hold_s.i, service_period_s` description."""
     path = Path(path)
-    values = _read_kv(path)
+    values = read_key_values(path)
     try:
         depth = int(values["h"])
         fanout = [int(values[f"fanout.{i}"]) for i in range(depth + 1)]
         hold_s = [float(values[f"hold_s.{i}"]) for i in range(depth + 1)]
         period = float(values["service_period_s"])
     except KeyError as exc:
-        raise UsageError(f"{path}: missing key {exc.args[0]}") from None
+        raise ValueError(f"{path}: missing key {exc.args[0]}") from None
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     config = HierarchyConfig.from_seconds(depth, fanout, hold_s, period)
     problems = validate(config)
     if problems:
-        raise UsageError(f"{path}: " + "; ".join(problems))
+        raise ValueError(f"{path}: " + "; ".join(problems))
     return config
 
 
@@ -100,7 +92,7 @@ def write_config_file(path: Path | str, config: HierarchyConfig) -> None:
 def read_timings_file(path: Path | str, depth: int) -> ChannelTimings:
     """Read per-level delays: `t_in_s.i` (or `saturated`) and `t_out_s.i`."""
     path = Path(path)
-    values = _read_kv(path)
+    values = read_key_values(path)
     t_in: list[float] = []
     t_out: list[float] = []
     try:
@@ -109,11 +101,11 @@ def read_timings_file(path: Path | str, depth: int) -> ChannelTimings:
             t_in.append(math.inf if raw.lower() == "saturated" else float(raw))
             t_out.append(float(values[f"t_out_s.{level}"]))
     except KeyError as exc:
-        raise UsageError(f"{path}: missing key {exc.args[0]}") from None
+        raise ValueError(f"{path}: missing key {exc.args[0]}") from None
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     if any(v < 0 for v in t_in + t_out):
-        raise UsageError(f"{path}: delays must be >= 0")
+        raise ValueError(f"{path}: delays must be >= 0")
     return ChannelTimings.from_seconds(t_in, t_out)
 
 
@@ -125,8 +117,8 @@ def _load_coeffs(args: argparse.Namespace) -> LoadCoefficients:
         return DEFAULT_COEFFICIENTS
     try:
         return read_coefficients(args.coeffs)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read coefficients: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"cannot read coefficients: {exc}") from None
 
 
 def _coeffs_label(coeffs: LoadCoefficients, args: argparse.Namespace) -> str:
@@ -139,7 +131,7 @@ def _coeffs_label(coeffs: LoadCoefficients, args: argparse.Namespace) -> str:
 def _resolve_config(args: argparse.Namespace, default_n: int = 400) -> HierarchyConfig:
     if args.config is not None:
         if args.n_total is not None:
-            raise UsageError("--n-total only applies to --preset")
+            raise ValueError("--n-total only applies to --preset")
         return read_config_file(args.config)
     preset = PRESETS[args.preset]
     return preset.config(args.n_total if args.n_total is not None else default_n)
@@ -152,7 +144,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"HIERMON_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"HIERMON_SEED must be an integer, got {raw!r}") from None
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -241,7 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"tightness: {check.tightness:.6f}")
     print(f"bound_respected: {'true' if check.bound_respected else 'false'}")
     print(f"staleness_respected: {'true' if check_staleness(trace) else 'false'}")
-    loss = check_losslessness(trace)
+    loss = trace.losslessness
     status = "ok" if loss.ok else "VIOLATED"
     print(
         f"losslessness: {status} (published={loss.published}, covered={loss.covered}, "
@@ -254,7 +246,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_max < 1 or args.step < 1:
-        raise UsageError("--n-max and --step must be at least 1")
+        raise ValueError("--n-max and --step must be at least 1")
     coeffs = _load_coeffs(args)
     out = _out_dir(args)
     print(f"coefficients: {_coeffs_label(coeffs, args)}")
@@ -370,9 +362,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
 """Parametric CPU/latency cost model for aggregation machines.
 
-Each machine is a single server: utilization is the rate-weighted sum of
-per-message parse and serialize costs, inbound delivery time inflates by
-1/(1-U) as the CPU approaches saturation, and outbound time stays affine in
-report size.  Coefficients either come from labeled synthetic defaults or are
-calibrated by timing the real parse/serialize/aggregate implementations on
-the current host.
+Each machine is a single server, and `level_load` is the one function that
+costs it: utilization is the rate-weighted sum of per-message parse and
+serialize costs, inbound delivery time inflates by 1/(1-U) as the CPU
+approaches saturation, and outbound time stays affine in report size.
+`hierarchy_loads` applies it to every level of a tree.  Coefficients either
+come from labeled synthetic defaults or are calibrated by timing the real
+parse/serialize/aggregate implementations on the current host.
 
 The timed loops in :func:`measure_costs` must run on a single thread with no
 concurrent benchmark in the same process.
@@ -24,7 +25,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
 
-from hiermon.model import ChannelTimings, HierarchyConfig
+from hiermon.model import ChannelTimings, HierarchyConfig, require_valid
 from hiermon.report import (
     REFERENCE_NODE_REPORT_BYTES, LevelKind, aggregate, parse, report_of_size_kb, serialize,
 )
@@ -63,8 +64,8 @@ class LoadCoefficients:
             "aggregate_s_per_kb",
             "net_latency_s",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:  # float bounds: NaN fails
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.parse_s_per_kb <= 0:
             raise ValueError("parse_s_per_kb must be > 0")
 
@@ -82,75 +83,10 @@ DEFAULT_COEFFICIENTS = LoadCoefficients(
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """Steady-state message flow through one machine.
-
-    ``inputs`` lists (rate_hz, size_kb, count) per flow, ``count`` being the
-    number of feeders sending it; ``output`` is the (rate_hz, size_kb) of the
-    report the machine itself emits.
-    """
-
-    inputs: tuple[tuple[float, float, int], ...]
-    output: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        for rate, size, *_ in (*self.inputs, self.output):
-            if rate <= 0:
-                raise ValueError("rates must be > 0")
-            if size <= 0:
-                raise ValueError("sizes must be > 0")
-        if any(count < 1 for _, _, count in self.inputs):
-            raise ValueError("counts must be >= 1")
-
-
-@dataclass(frozen=True)
 class MachineLoad:
     utilization: float
     t_in_s: float
     t_out_s: float
-
-
-def utilization(spec: WorkloadSpec, coeffs: LoadCoefficients) -> float:
-    """Fraction of one CPU consumed by parsing inputs and emitting the output."""
-    u = sum(
-        count * rate * (coeffs.parse_fixed_s + coeffs.parse_s_per_kb * size)
-        for rate, size, count in spec.inputs
-    )
-    out_rate, out_size = spec.output
-    u += out_rate * (
-        coeffs.serialize_fixed_s
-        + (coeffs.serialize_s_per_kb + coeffs.aggregate_s_per_kb) * out_size
-    )
-    return u
-
-
-def input_time(spec: WorkloadSpec, coeffs: LoadCoefficients, u: float | None = None) -> float:
-    """Seconds to deliver one inbound report, or infinity once the CPU saturates.
-
-    The probe message is the largest input; its service time stretches by
-    1/(1-U) as utilization climbs.  ``u`` is ``utilization(spec, coeffs)``
-    when the caller already has it.
-    """
-    if not spec.inputs:
-        raise ValueError("input_time needs at least one input flow")
-    if u is None:
-        u = utilization(spec, coeffs)
-    if u >= 1.0:
-        return math.inf
-    probe_kb = max(size for _, size, _ in spec.inputs)
-    service = coeffs.parse_fixed_s + coeffs.parse_s_per_kb * probe_kb
-    return coeffs.net_latency_s + service / (1.0 - u)
-
-
-def output_time(output_size_kb: float, coeffs: LoadCoefficients) -> float:
-    """Seconds to serialize and hand off one outbound report; affine in size."""
-    if output_size_kb <= 0:
-        raise ValueError("output size must be > 0")
-    return (
-        coeffs.net_latency_s
-        + coeffs.serialize_fixed_s
-        + coeffs.serialize_s_per_kb * output_size_kb
-    )
 
 
 # --- applying the model to a whole hierarchy --------------------------------
@@ -184,21 +120,33 @@ def level_load(
     coeffs: LoadCoefficients, period_us: int, size_kb: float, feeders: tuple[int, int, float] | None = None
 ) -> MachineLoad:
     """Load of one machine emitting ``size_kb`` every ``period_us``; ``feeders`` is the
-    (count, period_us, size_kb) of its inputs, None for a sensor."""
+    (count, period_us, size_kb) of its inputs, None for a sensor.
+
+    Utilization adds the parse cost of every inbound report to the serialize and
+    aggregate cost of the outbound one, per second.  Delivering one inbound report
+    takes the net latency plus its parse time stretched by 1/(1-U), infinity once
+    U reaches 1; handing off the outbound report takes the net latency plus its
+    serialize time.
+    """
     out_rate = 1.0 / (period_us / 1e6)
+    emit_s = coeffs.serialize_fixed_s + (coeffs.serialize_s_per_kb + coeffs.aggregate_s_per_kb) * size_kb
+    t_out = coeffs.net_latency_s + coeffs.serialize_fixed_s + coeffs.serialize_s_per_kb * size_kb
     if feeders is None:
-        spec = WorkloadSpec(inputs=(), output=(out_rate, size_kb))
-    else:
-        count, child_period_us, child_kb = feeders
-        in_rate = 1.0 / (child_period_us / 1e6)
-        spec = WorkloadSpec(inputs=((in_rate, child_kb, count),), output=(out_rate, size_kb))
-    u = utilization(spec, coeffs)
-    t_in = 0.0 if feeders is None else input_time(spec, coeffs, u)
-    return MachineLoad(u, t_in, output_time(size_kb, coeffs))
+        return MachineLoad(out_rate * emit_s, 0.0, t_out)
+    count, child_period_us, child_kb = feeders
+    in_rate = 1.0 / (child_period_us / 1e6)
+    parse_s = coeffs.parse_fixed_s + coeffs.parse_s_per_kb * child_kb
+    u = count * in_rate * parse_s + out_rate * emit_s
+    t_in = math.inf if u >= 1.0 else coeffs.net_latency_s + parse_s / (1.0 - u)
+    return MachineLoad(u, t_in, t_out)
 
 
 def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> dict[int, MachineLoad]:
-    """Per-level machine load, from sensor machines (0) up to the root channel."""
+    """Per-level machine load, from sensor machines (0) up to the root channel.
+
+    Raises ValueError, listing `model.validate`'s problems, for an unusable config.
+    """
+    require_valid(config)
     sizes = level_report_sizes_kb(config)
     periods = emission_periods_us(config)
     loads = {0: level_load(coeffs, periods[0], sizes[0])}
@@ -402,11 +350,17 @@ def write_coefficients(path: Path | str, coeffs: LoadCoefficients) -> None:
 def read_key_values(path: Path | str) -> dict[str, str]:
     """Read a flat ``key=value`` file; blank lines and ``#`` comments are skipped.
 
-    Raises :class:`OSError` when the file cannot be read and :class:`ValueError`
-    naming ``path:lineno`` for a line without ``=``.
+    Raises :class:`ValueError` naming the path when the file cannot be read or
+    decoded, and naming ``path:lineno`` for a line without ``=``.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # its message names the path
+        raise ValueError(str(exc)) from None
+    except UnicodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -134,7 +134,8 @@ def validate(config: HierarchyConfig) -> list[str]:
     return problems
 
 
-def _require_valid(config: HierarchyConfig) -> None:
+def require_valid(config: HierarchyConfig) -> None:
+    """Raise ValueError listing every problem :func:`validate` finds."""
     problems = validate(config)
     if problems:
         raise ValueError("invalid hierarchy config: " + "; ".join(problems))
@@ -148,7 +149,7 @@ def channels_at_level(config: HierarchyConfig, level: int) -> int:
 
 def machines_total(config: HierarchyConfig) -> int:
     """Monitored machines in the tree: one sensor per machine."""
-    _require_valid(config)
+    require_valid(config)
     return prod(config.fanout[1:])
 
 

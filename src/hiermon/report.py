@@ -456,7 +456,7 @@ def _parse_tree(data: bytes | str) -> Report:
     """Parse through ElementTree, checking the schema element by element."""
     try:
         root = ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
+    except (ElementTree.ParseError, UnicodeError) as exc:  # a lone surrogate in `str` input
         raise MalformedXmlError(str(exc)) from None
     return _parse_report(root)
 

@@ -183,7 +183,8 @@ class ModelCheck:
 class LosslessnessReport:
     """What the root's system windows carried, against what the sensors published.
 
-    ``missing`` counts covered leaves that reached no root window.
+    A published leaf is covered when the propagation bound plus one root hold
+    still fits before the end of the run.  ``missing`` counts covered leaves that reached no root window.
     ``duplicated`` counts root-window leaf copies that were not in flight at
     their root flush: every copy of a leaf after its first, and every copy of
     a leaf no sensor published.
@@ -402,18 +403,6 @@ def check_staleness(trace: SimTrace) -> bool:
     limit = trace.staleness_bound.micros
     period = trace.config.hierarchy.service_period_us
     return trace.max_observed_prop_us + period <= limit
-
-
-def check_losslessness(trace: SimTrace) -> LosslessnessReport:
-    """Published-vs-root-leaf comparison over the covered window, audited during the run.
-
-    A published leaf is covered when the propagation bound plus one root hold
-    still fits before the end of the run; covered leaves must appear exactly
-    once across all system windows, and no leaf may reach them twice or
-    without being published.  The run takes this audit at each root flush
-    (see the module docstring).
-    """
-    return trace.losslessness
 
 
 def window_report(window: Window, service_period_s: float) -> Report:

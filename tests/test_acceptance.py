@@ -43,7 +43,7 @@ from hiermon.report import (
     serialize,
     synthetic_service_report,
 )
-from hiermon.sim import SimConfig, check_losslessness, run, verify_against_model
+from hiermon.sim import SimConfig, run, verify_against_model
 
 CHEAP = LoadCoefficients(
     parse_s_per_kb=1e-9,
@@ -153,7 +153,7 @@ def test_c3_lossless_aggregation_over_100_simulations(capsys):
     started = time.perf_counter()
     for case in range(100):
         trace = run(_random_sim_config(rng))
-        loss = check_losslessness(trace)
+        loss = trace.losslessness
         if not loss.ok:
             failures.append(
                 f"case {case}: missing={loss.missing} duplicated={loss.duplicated}"

@@ -13,7 +13,6 @@ import pytest
 
 from hiermon.capacity import PRESETS, max_machines, sweep_preset
 from hiermon.cli import (
-    UsageError,
     main,
     read_config_file,
     read_timings_file,
@@ -72,11 +71,11 @@ def test_preset_config_shapes():
 
 
 def test_preset_rejects_non_multiples():
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         PRESETS["two-level-50"].config(75)
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         PRESETS["three-level"].config(0)
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         PRESETS["single-level"].config(-5)
 
 
@@ -213,7 +212,7 @@ def test_config_file_roundtrip(tmp_path):
 def test_config_file_reports_missing_keys(tmp_path):
     path = tmp_path / "topo.txt"
     path.write_text("h=1\nfanout.0=1\nfanout.1=4\nhold_s.0=1\nhold_s.1=1\n")
-    with pytest.raises(UsageError, match="service_period_s"):
+    with pytest.raises(ValueError, match="service_period_s"):
         read_config_file(path)
 
 
@@ -222,7 +221,7 @@ def test_config_file_rejects_invalid_hierarchy(tmp_path):
     path.write_text(
         "h=1\nfanout.0=1\nfanout.1=0\nhold_s.0=60\nhold_s.1=60\nservice_period_s=60\n"
     )
-    with pytest.raises(UsageError, match="fanout"):
+    with pytest.raises(ValueError, match="fanout"):
         read_config_file(path)
 
 
@@ -237,7 +236,7 @@ def test_timings_file_parses_saturated_marker(tmp_path):
 def test_timings_file_rejects_negative_delay(tmp_path):
     path = tmp_path / "timings.txt"
     path.write_text("t_in_s.1=-0.1\nt_out_s.1=0.1\n")
-    with pytest.raises(UsageError, match=">= 0"):
+    with pytest.raises(ValueError, match=">= 0"):
         read_timings_file(path, 1)
 
 
@@ -641,3 +640,34 @@ def test_invalid_config_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--config", str(topo))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--config"], ["--preset", "single-level", "--coeffs"], ["--preset", "single-level", "--timings"],
+], ids=["config", "coeffs", "timings"])
+def test_unreadable_input_file_exits_two(capsys, tmp_path, flags):
+    missing = tmp_path / "no-such-file.txt"
+    code, out, err = run_cli(capsys, "analyze", *flags, str(missing))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--preset", "single-level"],
+    ["sweep", "--presets", "single-level", "--n-max", "100"],
+    ["simulate", "--preset", "single-level", "--n-total", "5"],
+])
+def test_non_finite_coefficient_exits_two_before_any_output(capsys, tmp_path, value, command):
+    coeffs_path = tmp_path / "coefficients.txt"
+    write_coefficients(coeffs_path, DEFAULT_COEFFICIENTS)
+    coeffs_path.write_text(coeffs_path.read_text().replace("parse_fixed_s=0.05", f"parse_fixed_s={value}"))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--out", str(out_dir), "--coeffs", str(coeffs_path), *command)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot read coefficients: parse_fixed_s must be finite and >= 0\n"
+    assert not out_dir.exists()

@@ -3,28 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hiermon import loadmodel
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
-    CalibrationUnstableError,
     CostSample,
     LoadCoefficients,
     MachineLoad,
-    WorkloadSpec,
     fit,
     hierarchy_loads,
     hierarchy_timings,
-    input_time,
+    level_load,
     level_report_sizes_kb,
     measure_costs,
-    output_time,
     read_coefficients,
-    utilization,
     write_coefficients,
     write_samples_csv,
 )
@@ -33,9 +29,17 @@ from hiermon.model import SATURATED, HierarchyConfig, propagation_time
 TINY_OUTPUT = (1e-12, 1e-9)
 
 
-def spec_of(inputs, output=TINY_OUTPUT):
-    """A workload with one feeder per (rate_hz, size_kb) input."""
-    return WorkloadSpec(tuple((rate, size, 1) for rate, size in inputs), output)
+def machine(rate_hz, size_kb, count=1, output=TINY_OUTPUT, coeffs=DEFAULT_COEFFICIENTS) -> MachineLoad:
+    """`level_load` of a machine with ``count`` feeders each sending ``size_kb`` at
+    ``rate_hz``, and emitting the (rate_hz, size_kb) ``output``."""
+    out_rate, out_kb = output
+    return level_load(coeffs, 1e6 / out_rate, out_kb, (count, 1e6 / rate_hz, size_kb))
+
+
+def sensor(output=TINY_OUTPUT, coeffs=DEFAULT_COEFFICIENTS) -> MachineLoad:
+    """`level_load` of a machine with no feeders, emitting the (rate_hz, size_kb) ``output``."""
+    out_rate, out_kb = output
+    return level_load(coeffs, 1e6 / out_rate, out_kb)
 
 
 class TestCoefficients:
@@ -51,76 +55,52 @@ class TestCoefficients:
         assert DEFAULT_COEFFICIENTS.calibrated is False
 
 
-class TestWorkloadSpec:
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            spec_of([(0.0, 1.0)])
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec((), (1.0, 0.0))
-
-    def test_count_below_one_rejected(self):
-        with pytest.raises(ValueError, match="counts"):
-            WorkloadSpec(((1.0, 1.0, 0),), TINY_OUTPUT)
-
-
 class TestUtilization:
     def test_negligible_workload_is_negligible(self):
-        assert utilization(spec_of([]), DEFAULT_COEFFICIENTS) < 1e-9
+        assert sensor().utilization < 1e-9
 
     def test_doubling_rates_doubles_input_term(self):
-        inputs = [(0.5, 1.0), (0.25, 2.0)]
-        base = utilization(spec_of(inputs), DEFAULT_COEFFICIENTS)
-        doubled = utilization(
-            spec_of([(2 * r, s) for r, s in inputs]), DEFAULT_COEFFICIENTS
-        )
+        base = machine(0.5, 1.0).utilization
+        doubled = machine(1.0, 1.0).utilization
         assert doubled == pytest.approx(2 * base, rel=1e-9)
 
     def test_1333_slow_half_kb_inputs_saturate_one_cpu(self):
         # 1333 * (0.050 + 0.008*0.5) / 60 = 1.1997 of a CPU.
-        spec = spec_of([(1 / 60, 0.5)] * 1333)
-        u = utilization(spec, DEFAULT_COEFFICIENTS)
-        assert u == pytest.approx(1.20, rel=0.01)
-        assert u >= 1.0
-        assert input_time(spec, DEFAULT_COEFFICIENTS) == math.inf
+        load = machine(1 / 60, 0.5, count=1333)
+        assert load.utilization == pytest.approx(1.20, rel=0.01)
+        assert load.utilization >= 1.0
+        assert load.t_in_s == math.inf
 
 
 class TestInputTime:
     def test_idle_machine_pays_net_plus_parse(self):
-        spec = spec_of([(1e-12, 2.0)])
         expected = 0.005 + (0.050 + 0.008 * 2.0)
-        assert input_time(spec, DEFAULT_COEFFICIENTS) == pytest.approx(expected, rel=1e-6)
+        assert machine(1e-12, 2.0).t_in_s == pytest.approx(expected, rel=1e-6)
 
     def test_half_utilization_doubles_the_service_term(self):
         cost_1kb = 0.050 + 0.008 * 1.0
-        idle = input_time(spec_of([(1e-12, 1.0)]), DEFAULT_COEFFICIENTS) - 0.005
-        busy = input_time(spec_of([(0.5 / cost_1kb, 1.0)]), DEFAULT_COEFFICIENTS) - 0.005
+        idle = machine(1e-12, 1.0).t_in_s - 0.005
+        busy = machine(0.5 / cost_1kb, 1.0).t_in_s - 0.005
         assert busy == pytest.approx(2 * idle, rel=1e-6)
 
     def test_saturation_boundary(self):
         cost_1kb = 0.050 + 0.008 * 1.0
-        exactly_one = spec_of([(1.0 / cost_1kb, 1.0)])
-        assert input_time(exactly_one, DEFAULT_COEFFICIENTS) == math.inf
-
-    def test_requires_an_input_flow(self):
-        with pytest.raises(ValueError):
-            input_time(WorkloadSpec((), (1.0, 1.0)), DEFAULT_COEFFICIENTS)
+        exactly_one = machine(1.0 / cost_1kb, 1.0)
+        assert exactly_one.utilization >= 1.0
+        assert exactly_one.t_in_s == math.inf
 
 
 class TestOutputTime:
     def test_difference_is_slope_times_size_delta(self):
-        small = output_time(0.5, DEFAULT_COEFFICIENTS)
-        large = output_time(50.0, DEFAULT_COEFFICIENTS)
+        small = sensor((1.0, 0.5)).t_out_s
+        large = sensor((1.0, 50.0)).t_out_s
         assert large - small == pytest.approx(0.002 * 49.5, rel=1e-9)
+        assert machine(1.0, 3.0, output=(1.0, 50.0)).t_out_s == large
 
     def test_zero_cost_coefficients_leave_net_latency(self):
         coeffs = LoadCoefficients(1e-12, 0.0, 0.0, 0.0, 0.0, 0.005)
-        assert output_time(7.0, coeffs) == pytest.approx(0.005)
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            output_time(0.0, DEFAULT_COEFFICIENTS)
+        assert sensor((1.0, 7.0), coeffs).t_out_s == pytest.approx(0.005)
+        assert machine(1.0, 7.0, output=(1.0, 7.0), coeffs=coeffs).t_out_s == pytest.approx(0.005)
 
 
 _rates = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
@@ -129,52 +109,34 @@ _flows = st.tuples(_rates, _sizes)
 
 
 class TestModelProperties:
-    @given(
-        st.lists(_flows, max_size=4),
-        st.lists(_flows, max_size=4),
-        _flows,
-    )
-    def test_utilization_additive_over_inputs(self, a, b, output):
-        combined = utilization(spec_of(a + b, output), DEFAULT_COEFFICIENTS)
-        output_only = utilization(spec_of([], output), DEFAULT_COEFFICIENTS)
-        parts = (
-            utilization(spec_of(a, output), DEFAULT_COEFFICIENTS)
-            + utilization(spec_of(b, output), DEFAULT_COEFFICIENTS)
-            - output_only
-        )
-        assert combined == pytest.approx(parts, rel=1e-9, abs=1e-12)
-
-    @given(st.lists(_flows, min_size=1, max_size=4), _flows, st.floats(0.1, 10))
-    def test_utilization_homogeneous_in_rates(self, inputs, output, k):
-        base = utilization(spec_of(inputs, output), DEFAULT_COEFFICIENTS)
-        scaled_spec = spec_of(
-            [(r * k, s) for r, s in inputs], (output[0] * k, output[1])
-        )
-        assert utilization(scaled_spec, DEFAULT_COEFFICIENTS) == pytest.approx(
-            k * base, rel=1e-9
-        )
-
     @given(_rates, _sizes, st.integers(1, 500), _flows)
-    def test_counted_flow_equals_repeated_single_flows(self, rate, size, count, output):
-        counted = WorkloadSpec(((rate, size, count),), output)
-        repeated = WorkloadSpec(((rate, size, 1),) * count, output)
-        assert utilization(counted, DEFAULT_COEFFICIENTS) == pytest.approx(
-            utilization(repeated, DEFAULT_COEFFICIENTS), rel=1e-12
+    def test_utilization_linear_in_feeder_count(self, rate, size, count, output):
+        emit = sensor(output).utilization
+        one = machine(rate, size, 1, output).utilization
+        assert machine(rate, size, count, output).utilization == pytest.approx(
+            emit + count * (one - emit), rel=1e-9, abs=1e-12
         )
+
+    @given(_flows, st.integers(1, 50), _flows, st.floats(0.1, 10))
+    def test_utilization_homogeneous_in_rates(self, flow, count, output, k):
+        (rate, size), (out_rate, out_kb) = flow, output
+        base = machine(rate, size, count, output).utilization
+        scaled = machine(rate * k, size, count, (out_rate * k, out_kb)).utilization
+        assert scaled == pytest.approx(k * base, rel=1e-9)
 
     @given(st.floats(0.01, 0.95), st.floats(1.02, 5))
-    def test_input_time_strictly_increases_with_utilization(self, u, factor):
+    def test_t_in_strictly_increases_with_utilization(self, u, factor):
         assume(u * factor < 0.999)
         cost_1kb = 0.050 + 0.008
-        slow = input_time(spec_of([(u / cost_1kb, 1.0)]), DEFAULT_COEFFICIENTS)
-        fast = input_time(spec_of([(u * factor / cost_1kb, 1.0)]), DEFAULT_COEFFICIENTS)
+        slow = machine(u / cost_1kb, 1.0).t_in_s
+        fast = machine(u * factor / cost_1kb, 1.0).t_in_s
         assert fast > slow
 
     @given(st.floats(0.1, 50), st.floats(1.1, 5), st.floats(0.01, 0.9))
-    def test_input_time_strictly_increases_with_probe_size(self, size, factor, u):
+    def test_t_in_strictly_increases_with_input_size(self, size, factor, u):
         def at(size_kb):
             cost = 0.050 + 0.008 * size_kb
-            return input_time(spec_of([(u / cost, size_kb)]), DEFAULT_COEFFICIENTS)
+            return machine(u / cost, size_kb).t_in_s
 
         assert at(size * factor) > at(size)
 
@@ -218,17 +180,14 @@ class TestHierarchyLoads:
         assert timings.t_in[1] == SATURATED
         assert propagation_time(cfg, timings, 1).is_saturated
 
-    @pytest.mark.parametrize("feeders", [None, (50, 30_000_000, 0.5), (1333, 60_000_000, 0.5)])
-    def test_level_load_evaluates_utilization_once(self, monkeypatch, feeders):
-        specs = []
-        monkeypatch.setattr(
-            loadmodel, "utilization", lambda spec, coeffs: specs.append(spec) or utilization(spec, coeffs)
-        )
-        load = loadmodel.level_load(DEFAULT_COEFFICIENTS, 30_000_000, 25.0, feeders)
-        assert len(specs) == 1
-        assert load.utilization == utilization(specs[0], DEFAULT_COEFFICIENTS)
-        if feeders is not None:  # saturated or not, the same value input_time computes for itself
-            assert load.t_in_s == input_time(specs[0], DEFAULT_COEFFICIENTS)
+    @pytest.mark.parametrize("config, message", [
+        (HierarchyConfig(2, (1, 0, 4), (30_000_000,) * 3, 30_000_000), "fanout[1] must be >= 1"),
+        (HierarchyConfig(1, (1, 4), (0, 30_000_000), 30_000_000), "hold_s[0] must be > 0"),
+        (HierarchyConfig(2, (1, 4), (30_000_000,) * 3, 30_000_000), "fanout length must be depth+1 (3), got 2"),
+    ], ids=["zero-fanout", "zero-hold", "short-fanout"])
+    def test_invalid_config_refused_with_the_validate_message(self, config, message):
+        with pytest.raises(ValueError, match=re.escape(f"invalid hierarchy config: {message}")):
+            hierarchy_loads(config, DEFAULT_COEFFICIENTS)
 
     def test_timings_cover_every_level(self):
         timings = hierarchy_timings(hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS))
@@ -365,6 +324,22 @@ class TestPersistence:
         path = tmp_path / "coeffs.txt"
         path.write_text("parse_s_per_kb\n")
         with pytest.raises(ValueError, match="key=value"):
+            read_coefficients(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "coeffs.txt"
+        write_coefficients(path, DEFAULT_COEFFICIENTS)
+        path.write_text(path.read_text().replace("parse_fixed_s=0.05", f"parse_fixed_s={value}"))
+        with pytest.raises(ValueError, match="^parse_fixed_s must be finite and >= 0$"):
+            read_coefficients(path)
+
+    def test_unreadable_file_is_a_value_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_coefficients(path)
+        path.write_bytes(b"parse_s_per_kb=\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_coefficients(path)
 
     def test_samples_csv_header(self, tmp_path):

@@ -503,6 +503,15 @@ class TestCanonicalScan:
             assert report._parse_canonical(data) is None
             assert raised(parse, data) is raised(report._parse_tree, data) is not None
 
+    @pytest.mark.parametrize("doc", [
+        in_intermediate(canonical_service(source="m\ud800")),
+        canonical_report("intermediate", "\ud800" + canonical_report("node", canonical_service())),
+    ], ids=["attribute", "text"])
+    def test_lone_surrogate_in_str_is_malformed_xml(self, doc):
+        assert report._parse_canonical(doc) is None
+        with pytest.raises(MalformedXmlError):
+            parse(doc)
+
     @staticmethod
     def assert_scan_agrees(blob: bytes) -> None:
         fast = report._parse_canonical(blob)  # must never raise

@@ -31,7 +31,6 @@ from hiermon.report import iter_leaves, measure, parse, serialize
 from hiermon.sim import (
     LosslessnessReport,
     SimConfig,
-    check_losslessness,
     check_staleness,
     run,
     verify_against_model,
@@ -312,7 +311,7 @@ class TestAgainstModel:
         check = verify_against_model(trace)
         assert check.bound_respected
         assert 0 < check.tightness <= 1
-        report = check_losslessness(trace)
+        report = trace.losslessness
         assert report.ok and report.covered > 0
         assert check_staleness(trace)
 
@@ -325,7 +324,7 @@ class TestAgainstModel:
             assert set(seen) <= enumerated_published(config)
             report, repeated = multiset_audit(trace, windows)
             assert report.ok and report.covered > 0 and repeated == 0
-            assert check_losslessness(trace) == report
+            assert trace.losslessness == report
 
     def test_adversarial_phasing_is_tight(self):
         hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], [10, 10, 10], 10)
@@ -399,9 +398,9 @@ def random_small_trees(draw):
 def test_bound_losslessness_and_staleness_hold_on_random_trees(config):
     trace, root_flushes = run_recording_root_windows(config)
     assert verify_against_model(trace).bound_respected
-    assert check_losslessness(trace).ok
-    assert check_losslessness(trace) == multiset_audit(trace, root_windows(root_flushes))[0]
-    assert check_losslessness(trace).published <= config.row_bound
+    assert trace.losslessness.ok
+    assert trace.losslessness == multiset_audit(trace, root_windows(root_flushes))[0]
+    assert trace.losslessness.published <= config.row_bound
     assert check_staleness(trace)
     propagations = [
         now - emitted
@@ -459,7 +458,7 @@ def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
     trace, root_flushes = run_recording_root_windows(config)
     assert faults
     report, repeated = multiset_audit(trace, root_windows(root_flushes))
-    assert check_losslessness(trace) == report
+    assert trace.losslessness == report
     assert report.ok == (fault == "copy")
     # each repeated leaf repeats once; an invented leaf was never in flight
     assert report.duplicated == repeated + (fault in ("invent", "replace"))
@@ -485,7 +484,7 @@ def test_audit_counts_missing_leaves_for_an_understated_bound(monkeypatch, confi
     assert not verify_against_model(trace).bound_respected
     report, repeated = multiset_audit(trace, root_windows(root_flushes))
     assert report.missing > 0 and repeated == 0
-    assert check_losslessness(trace) == report
+    assert trace.losslessness == report
 
 
 def test_ranges_that_caught_nothing_publish_nothing(monkeypatch):
@@ -559,7 +558,7 @@ class TestEdgeReports:
                     monkeypatch.setattr(module, name, forbidden)
         trace = run(small_three_level(seed=4, jitter_fraction=0.5))
         assert trace.delivered
-        assert check_losslessness(trace).ok
+        assert trace.losslessness.ok
 
     @pytest.mark.parametrize("tree", sorted(PINNED_OUTPUTS))
     def test_simulate_command_writes_pinned_outputs(self, capsys, tmp_path, tree):

@@ -1,44 +1,45 @@
-"""Capacity and latency analysis of hierarchical publish-subscribe monitoring trees."""
+"""Capacity and latency analysis of hierarchical publish-subscribe monitoring trees.
 
-from hiermon.loadmodel import (
-    DEFAULT_COEFFICIENTS,
-    LoadCoefficients,
-    hierarchy_loads,
-    hierarchy_timings,
-)
-from hiermon.model import (
-    SATURATED,
-    ChannelTimings,
-    HierarchyConfig,
-    LatencyBound,
-    channels_at_level,
-    machines_total,
-    propagation_time,
-    propagation_time_recursive,
-    staleness_time,
-    validate,
-)
-from hiermon.sim import SimConfig, SimTrace, run
+The names in ``__all__`` load lazily: each is imported from its home module
+on first access (PEP 562), so ``import hiermon`` loads none of them and a
+program that never touches the simulator never loads it.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_COEFFICIENTS",
-    "SATURATED",
-    "ChannelTimings",
-    "HierarchyConfig",
-    "LatencyBound",
-    "LoadCoefficients",
-    "SimConfig",
-    "SimTrace",
-    "channels_at_level",
-    "hierarchy_loads",
-    "hierarchy_timings",
-    "machines_total",
-    "propagation_time",
-    "propagation_time_recursive",
-    "run",
-    "staleness_time",
-    "validate",
-    "__version__",
-]
+#: Exported name -> the module it is defined in.
+_EXPORTS = {
+    "DEFAULT_COEFFICIENTS": "hiermon.loadmodel",
+    "SATURATED": "hiermon.model",
+    "ChannelTimings": "hiermon.model",
+    "HierarchyConfig": "hiermon.model",
+    "LatencyBound": "hiermon.model",
+    "LoadCoefficients": "hiermon.loadmodel",
+    "SimConfig": "hiermon.sim",
+    "SimTrace": "hiermon.sim",
+    "channels_at_level": "hiermon.model",
+    "hierarchy_loads": "hiermon.loadmodel",
+    "hierarchy_timings": "hiermon.loadmodel",
+    "machines_total": "hiermon.model",
+    "propagation_time": "hiermon.model",
+    "propagation_time_recursive": "hiermon.model",
+    "run": "hiermon.sim",
+    "staleness_time": "hiermon.model",
+    "validate": "hiermon.model",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(module), name)  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

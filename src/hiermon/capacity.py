@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from hiermon.loadmodel import (
     LoadCoefficients, MachineLoad, emission_periods_us, hierarchy_loads, hierarchy_timings,
@@ -58,8 +59,10 @@ PRESETS: dict[str, HierarchyPreset] = {
 }
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One machine count of a sweep: its propagation bound, root utilization and first
+    saturated level (None while no level saturates)."""
+
     n_total: int
     t_prop: LatencyBound
     root_utilization: float

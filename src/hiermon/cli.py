@@ -7,6 +7,15 @@ its traces, and `sweep` writes the capacity curve and limit that
 `hiermon.capacity` computes per hierarchy preset.  This module only parses
 flags and files and formats results; the models live in their own modules.
 
+A command loads only what it runs.  The simulator's names (`run`,
+`SimConfig`, `check_staleness`, `verify_against_model`, `write_trace_csv`,
+`write_machines_csv`) stay attributes of this module, but the module-level
+`__getattr__` imports `hiermon.sim` on the first lookup of one and copies
+them into the module, never over a name already set.  `cmd_simulate` looks
+each one up on this module when it runs, so a hook or patch set on
+`hiermon.cli`, before or after that first lookup, replaces what `simulate`
+calls; a function-local import from `hiermon.sim` would bypass it.
+
 Exit codes: 0 success, 1 output pipe closed early, 2 usage/config error
 (including `simulate` on a saturated tree or over its row budget), 3
 calibration failure.
@@ -39,6 +48,7 @@ from hiermon.loadmodel import (
     write_samples_csv,
 )
 from hiermon.model import (
+    MAX_ROWS,
     ChannelTimings,
     HierarchyConfig,
     LatencyBound,
@@ -47,15 +57,22 @@ from hiermon.model import (
     staleness_time,
     validate,
 )
-from hiermon.sim import (
-    MAX_ROWS,
-    SimConfig,
-    check_staleness,
-    run,
-    verify_against_model,
-    write_machines_csv,
-    write_trace_csv,
+
+#: Names of `hiermon.sim` that `cmd_simulate` calls as attributes of this module.
+_SIM_NAMES = (
+    "SimConfig", "check_staleness", "run", "verify_against_model", "write_machines_csv", "write_trace_csv",
 )
+
+
+def __getattr__(name: str):
+    """Load the simulator on first use of one of its names (PEP 562)."""
+    if name not in _SIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from hiermon import sim
+
+    for key in _SIM_NAMES:
+        globals().setdefault(key, getattr(sim, key))  # a hook installed first wins
+    return globals()[name]
 
 
 # --- config and timings files -------------------------------------------------
@@ -203,10 +220,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    cli = sys.modules[__name__]  # the simulator's names, looked up as this module's attributes
     config = _resolve_config(args)
     coeffs = _load_coeffs(args)
     seed = _resolve_seed(args)
-    sim_config = SimConfig.build(
+    sim_config = cli.SimConfig.build(
         config,
         coeffs=coeffs,
         duration_s=args.duration,
@@ -214,10 +232,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         jitter_fraction=args.jitter,
         max_rows=args.max_rows,
     )
-    trace = run(sim_config)
+    trace = cli.run(sim_config)
     out = _out_dir(args)
-    write_trace_csv(out / "trace.csv", trace)
-    write_machines_csv(out / "machines.csv", trace)
+    cli.write_trace_csv(out / "trace.csv", trace)
+    cli.write_machines_csv(out / "machines.csv", trace)
 
     topology = args.preset if args.config is None else args.config
     print(f"topology: {topology}")
@@ -229,10 +247,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"events: {sum(trace.event_counts.values())}")
     print(f"max_observed_propagation_s: {trace.max_observed_prop_us / 1e6:.6f}")
     print(f"analytic_bound_s: {_fmt_seconds(trace.analytic_bound)}")
-    check = verify_against_model(trace)
+    check = cli.verify_against_model(trace)
     print(f"tightness: {check.tightness:.6f}")
     print(f"bound_respected: {'true' if check.bound_respected else 'false'}")
-    print(f"staleness_respected: {'true' if check_staleness(trace) else 'false'}")
+    print(f"staleness_respected: {'true' if cli.check_staleness(trace) else 'false'}")
     loss = trace.losslessness
     status = "ok" if loss.ok else "VIOLATED"
     print(

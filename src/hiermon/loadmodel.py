@@ -17,13 +17,12 @@ from __future__ import annotations
 import csv
 import gc
 import math
-import statistics
 import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from hiermon.model import ChannelTimings, HierarchyConfig, require_valid
 from hiermon.report import (
@@ -82,8 +81,9 @@ DEFAULT_COEFFICIENTS = LoadCoefficients(
 )
 
 
-@dataclass(frozen=True)
-class MachineLoad:
+class MachineLoad(NamedTuple):
+    """One machine's CPU utilization and its inbound and outbound delivery times, in seconds."""
+
     utilization: float
     t_in_s: float
     t_out_s: float
@@ -167,8 +167,7 @@ def hierarchy_timings(loads: dict[int, MachineLoad]) -> ChannelTimings:
 # --- on-host calibration -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostSample:
+class CostSample(NamedTuple):
     """Median per-operation wall-clock costs at one report size."""
 
     size_kb: float
@@ -177,8 +176,7 @@ class CostSample:
     aggregate_s: float
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Largest absolute fit residual per operation, in seconds, and the fits clamped to 0."""
 
     parse_residual_s: float
@@ -202,6 +200,8 @@ def _time_operation(op: Callable[[], object], repetitions: int) -> float:
     measured again, up to ``_ATTEMPTS`` runs in all; the error is raised only
     when every run is that spread, and no unstable run feeds the result.
     """
+    import statistics  # before any timing: its first import must not land in a sample
+
     op()  # warm caches before estimating
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -289,6 +289,8 @@ def _affine_fit(
 ):
     """Least-squares ``(slope, intercept, max residual)``; a fit with a negative term is
     clamped to 0 and its ``name`` appended to ``clamped``."""
+    import statistics  # only calibration needs it, and it loads `fractions` and `decimal`
+
     xs = [s.size_kb for s in samples]
     ys = [cost(s) for s in samples]
     slope, intercept = statistics.linear_regression(xs, ys)
@@ -372,16 +374,19 @@ def read_key_values(path: Path | str) -> dict[str, str]:
 
 
 def read_coefficients(path: Path | str) -> LoadCoefficients:
+    """Read a `write_coefficients` file; every ValueError names the path."""
     values = read_key_values(path)
     missing = [k for k in (*_COEFF_KEYS, "calibrated") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    kwargs: dict[str, object] = {key: float(values[key]) for key in _COEFF_KEYS}
-    flag = values["calibrated"].lower()
-    if flag not in ("true", "false"):
-        raise ValueError(f"{path}: calibrated must be true or false, got {flag!r}")
-    kwargs["calibrated"] = flag == "true"
-    return LoadCoefficients(**kwargs)
+    try:
+        costs = {key: float(values[key]) for key in _COEFF_KEYS}
+        flag = values["calibrated"].lower()
+        if flag not in ("true", "false"):
+            raise ValueError(f"calibrated must be true or false, got {flag!r}")
+        return LoadCoefficients(**costs, calibrated=flag == "true")
+    except ValueError as exc:  # a value that is no float, or one `LoadCoefficients` refuses
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_samples_csv(path: Path | str, samples: Sequence[CostSample]) -> None:

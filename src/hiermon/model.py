@@ -25,6 +25,11 @@ from typing import Iterable, Sequence
 
 MICROS_PER_SECOND = 1_000_000
 
+#: Default ceiling on `sim.SimConfig.row_bound`: ten million rows are about 0.4 GB
+#: of trace.csv and 5 s of export on a 2-CPU host (`BENCH_11.json`).  Here, not in
+#: `sim`, so the CLI parser can show it without loading the simulator.
+MAX_ROWS = 10_000_000
+
 
 def seconds_to_micros(value: float) -> int:
     """Quantize a duration in seconds to whole microseconds."""

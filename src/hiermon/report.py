@@ -22,11 +22,13 @@ from __future__ import annotations
 import enum
 import functools
 import re
-import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass
 from math import inf
 from random import Random
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from xml.etree import ElementTree
 
 REFERENCE_NODE_REPORT_BYTES = 512
 #: Deepest chain of nested reports `parse` accepts: a monitoring tree is a few levels
@@ -126,8 +128,9 @@ class Report:
                 raise ValueError("a system report cannot be nested")
 
 
-@dataclass(frozen=True)
-class ReportSize:
+class ReportSize(NamedTuple):
+    """A serialized report's size in bytes and in reference node-report units."""
+
     bytes: int
     node_report_units: float
 
@@ -453,7 +456,13 @@ def parse(data: bytes | str) -> Report:
 
 
 def _parse_tree(data: bytes | str) -> Report:
-    """Parse through ElementTree, checking the schema element by element."""
+    """Parse through ElementTree, checking the schema element by element.
+
+    ElementTree is imported here, on the first non-canonical input: nothing
+    `serialize` writes needs it.
+    """
+    from xml.etree import ElementTree
+
     try:
         root = ElementTree.fromstring(data)
     except (ElementTree.ParseError, UnicodeError) as exc:  # a lone surrogate in `str` input

@@ -58,7 +58,7 @@ from heapq import heappop, heappush
 from math import prod
 from pathlib import Path
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from hiermon.channel import (
     ChannelLevel,
@@ -78,6 +78,7 @@ from hiermon.loadmodel import (
     hierarchy_timings,
 )
 from hiermon.model import (
+    MAX_ROWS,
     HierarchyConfig,
     LatencyBound,
     machines_total,
@@ -103,13 +104,11 @@ _MIN_WINDOW_US = 1_000  # report timestamps are milliseconds; finer windows alia
 
 _BATCH_ROWS = 1_000  # rows per write of either CSV export: few writes, small strings
 
-#: Default ceiling on `SimConfig.row_bound`: ten million rows are about 0.4 GB
-#: of trace.csv and 5 s of export on a 2-CPU host (`BENCH_11.json`).
-MAX_ROWS = 10_000_000
-
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's inputs: the tree, its cost coefficients, length, seed, tick jitter and row budget."""
+
     hierarchy: HierarchyConfig
     coeffs: LoadCoefficients = DEFAULT_COEFFICIENTS
     duration_us: int = 0
@@ -161,6 +160,8 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
+    """What one `run` saw: the root arrivals, the model's utilization and bounds, and the audits."""
+
     config: SimConfig
     arrivals: list[tuple[int, Sequence[SensorBlock]]]  # (root arrival µs, delivered blocks)
     delivered: int  # leaves in `arrivals`
@@ -173,14 +174,14 @@ class SimTrace:
     event_counts: Counter
 
 
-@dataclass(frozen=True)
-class ModelCheck:
+class ModelCheck(NamedTuple):
+    """Whether the worst observed propagation stayed within the analytic bound, and their ratio."""
+
     bound_respected: bool
     tightness: float
 
 
-@dataclass(frozen=True)
-class LosslessnessReport:
+class LosslessnessReport(NamedTuple):
     """What the root's system windows carried, against what the sensors published.
 
     A published leaf is covered when the propagation bound plus one root hold

@@ -1,6 +1,7 @@
 """Command-line interface: presets, sweeps, file formats, exit codes."""
 
 import csv
+import json
 import math
 import os
 import statistics
@@ -369,6 +370,45 @@ def test_simulate_prints_the_staleness_verdict_after_the_bound(capsys, tmp_path,
     assert _summary_value(out, "staleness_respected") == "false"
 
 
+def test_hooks_set_before_the_simulator_loads_are_what_simulate_calls(tmp_path):
+    """Wrappers put on `hiermon.cli` before `hiermon.sim` is imported survive its import,
+    are the functions `simulate` calls, and leave the exported CSVs unchanged."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"""
+import contextlib, io, json, sys
+import hiermon.cli as cli
+calls = []
+
+def wrapped(name):
+    def wrapper(*args):
+        calls.append(name)
+        import hiermon.sim
+        return getattr(hiermon.sim, name)(*args)
+    return wrapper
+
+def simulate(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--out", out, "simulate", "--preset", "two-level-50", "--n-total", "100",
+                         "--jitter", "0.5", "--seed", "3"]) == 0
+
+loaded_first = "hiermon.sim" in sys.modules
+cli.run, cli.write_trace_csv = wrapper_run, wrapper_trace = wrapped("run"), wrapped("write_trace_csv")
+simulate({str(tmp_path / "wrapped")!r})
+kept = cli.run is wrapper_run and cli.write_trace_csv is wrapper_trace
+import hiermon.sim
+cli.run, cli.write_trace_csv = hiermon.sim.run, hiermon.sim.write_trace_csv
+simulate({str(tmp_path / "plain")!r})
+print(json.dumps([loaded_first, calls, kept]))
+"""
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, ["run", "write_trace_csv"], True]
+    assert (tmp_path / "wrapped" / "trace.csv").read_bytes().count(b"\n") > 1  # rows, not just a header
+    for name in ("trace.csv", "machines.csv"):
+        assert (tmp_path / "wrapped" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_simulate_is_deterministic_per_seed(capsys, tmp_path):
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     args = ("simulate", "--preset", "two-level-50", "--n-total", "100",
@@ -655,13 +695,17 @@ def test_unreadable_input_file_exits_two(capsys, tmp_path, flags):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value, problem", [
+    ("nan", "parse_fixed_s must be finite and >= 0"),
+    ("inf", "parse_fixed_s must be finite and >= 0"),
+    ("abc", "could not convert string to float: 'abc'"),
+], ids=["nan", "inf", "abc"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--preset", "single-level"],
     ["sweep", "--presets", "single-level", "--n-max", "100"],
     ["simulate", "--preset", "single-level", "--n-total", "5"],
 ])
-def test_non_finite_coefficient_exits_two_before_any_output(capsys, tmp_path, value, command):
+def test_non_finite_coefficient_exits_two_before_any_output(capsys, tmp_path, value, problem, command):
     coeffs_path = tmp_path / "coefficients.txt"
     write_coefficients(coeffs_path, DEFAULT_COEFFICIENTS)
     coeffs_path.write_text(coeffs_path.read_text().replace("parse_fixed_s=0.05", f"parse_fixed_s={value}"))
@@ -669,5 +713,5 @@ def test_non_finite_coefficient_exits_two_before_any_output(capsys, tmp_path, va
     code, out, err = run_cli(capsys, "--out", str(out_dir), "--coeffs", str(coeffs_path), *command)
     assert code == 2
     assert out == ""
-    assert err == "error: cannot read coefficients: parse_fixed_s must be finite and >= 0\n"
+    assert err == f"error: cannot read coefficients: {coeffs_path}: {problem}\n"
     assert not out_dir.exists()

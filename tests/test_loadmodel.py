@@ -326,12 +326,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="key=value"):
             read_coefficients(path)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_value_rejected(self, tmp_path, value):
+    @pytest.mark.parametrize("value, problem", [
+        ("nan", "parse_fixed_s must be finite and >= 0"),
+        ("inf", "parse_fixed_s must be finite and >= 0"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ], ids=["nan", "inf", "abc"])
+    def test_non_finite_value_rejected(self, tmp_path, value, problem):
         path = tmp_path / "coeffs.txt"
         write_coefficients(path, DEFAULT_COEFFICIENTS)
         path.write_text(path.read_text().replace("parse_fixed_s=0.05", f"parse_fixed_s={value}"))
-        with pytest.raises(ValueError, match="^parse_fixed_s must be finite and >= 0$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
             read_coefficients(path)
 
     def test_unreadable_file_is_a_value_error_naming_the_path(self, tmp_path):

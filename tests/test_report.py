@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -576,7 +578,7 @@ class TestCanonicalScan:
         def forbidden(*args, **kwargs):
             raise AssertionError("canonical input fell back to ElementTree")
 
-        monkeypatch.setattr(report.ElementTree, "fromstring", forbidden)
+        monkeypatch.setattr(ElementTree, "fromstring", forbidden)  # the module `_parse_tree` imports
         assert parse(serialize(original)) == original
 
     def test_non_canonical_document_goes_through_element_tree(self):
@@ -609,35 +611,97 @@ def test_attribute_escape_matches_saxutils(value):
     assert report._attr(value) == escape(value, entities)
 
 
-def test_cli_import_pulls_in_no_sax_or_url_modules():
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter importing hiermon from ``src``; return its stdout."""
     src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_pulls_in_no_sax_or_url_modules():
     code = (
         "import sys, hiermon.cli; "
         "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+#: Modules a command loads only when it runs them.
+DEFERRED = ("hiermon.sim", "hiermon.channel", "statistics", "xml.etree.ElementTree")
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    code = f"""
+import contextlib, io, json, sys
+import hiermon.cli as cli
+from hiermon import report
+seen = {{}}
+
+def step(name, action=None):
+    if action is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            action()
+    seen[name] = [m for m in {DEFERRED!r} if m in sys.modules]
+
+def command(*argv):
+    def call():
+        assert cli.main(["--out", {str(tmp_path)!r}, *argv]) == 0, argv
+    step(argv[0], call)
+
+step("import")
+command("analyze", "--preset", "three-level")
+command("sweep", "--n-max", "500", "--step", "100")
+step("parse", lambda: report.parse(report.serialize(report.report_of_size_kb(5.0))))
+command("simulate", "--preset", "single-level", "--n-total", "5")
+blob = report.serialize(report.default_node_report())
+step("non-canonical parse", lambda: report.parse(b'<?xml version="1.0"?>' + blob))
+print(json.dumps(seen))
+"""
+    assert json.loads(run_fresh(code)) == {
+        "import": [],
+        "analyze": [],
+        "sweep": [],
+        "parse": [],
+        "simulate": ["hiermon.sim", "hiermon.channel"],
+        "non-canonical parse": ["hiermon.sim", "hiermon.channel", "xml.etree.ElementTree"],
+    }
+
+
+def test_package_exports_load_lazily_as_their_home_objects():
+    homes = {
+        "hiermon.loadmodel": ["DEFAULT_COEFFICIENTS", "LoadCoefficients", "hierarchy_loads", "hierarchy_timings"],
+        "hiermon.model": [
+            "SATURATED", "ChannelTimings", "HierarchyConfig", "LatencyBound", "channels_at_level",
+            "machines_total", "propagation_time", "propagation_time_recursive", "staleness_time", "validate",
+        ],
+        "hiermon.sim": ["SimConfig", "SimTrace", "run"],
+    }
+    code = f"""
+import importlib, json, sys
+import hiermon
+before = sorted(m for m in sys.modules if m.startswith("hiermon."))
+homes = {homes!r}
+same = {{name: getattr(hiermon, name) is getattr(importlib.import_module(home), name)
+        for home, names in homes.items() for name in names}}
+print(json.dumps([before, sorted(hiermon.__all__), same, sorted(set(hiermon.__all__) - set(dir(hiermon)))]))
+"""
+    before, exported, same, undir = json.loads(run_fresh(code))
+    assert before == []
+    assert exported == sorted([*same, "__version__"])
+    assert all(same.values()), same
+    assert undir == []
 
 
 def test_scan_pattern_is_compiled_on_first_parse_not_at_import():
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import hiermon.cli, hiermon.report as r; before = r._token.cache_info().currsize; "
         "r.parse(r.serialize(r.default_node_report())); print(before, r._token.cache_info().currsize)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "1"]
+    assert run_fresh(code).split() == ["0", "1"]

@@ -3,8 +3,8 @@
 A preset fixes every fanout but the root's, ``m``.  The levels below the root
 read no fanout above their own, so they, and their part of the propagation
 bound, are the same for every ``m``: `PresetModel` evaluates them once, and
-each ``m`` costs one `level_load` of the root with the expressions of
-`hierarchy_loads`, so rows equal the full model's bit for bit.
+each ``m`` costs the root one `level_above`, the step `hierarchy_loads` takes
+for every level, so rows equal the full model's bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from hiermon.loadmodel import (
-    LoadCoefficients, MachineLoad, emission_periods_us, hierarchy_loads, hierarchy_timings,
-    level_load, level_report_sizes_kb,
-)
+from hiermon.loadmodel import LoadCoefficients, MachineLoad, hierarchy_loads, hierarchy_timings, level_above
 from hiermon.model import HierarchyConfig, LatencyBound, propagation_time
 
 
@@ -75,12 +72,10 @@ class PresetModel:
     def __init__(self, preset: HierarchyPreset, coeffs: LoadCoefficients):
         config = preset.config(preset.machines_per_unit)
         depth = self.depth = config.depth
-        timings = hierarchy_timings(hierarchy_loads(config, coeffs))
-        periods = emission_periods_us(config)
-        self.unit, self.coeffs, self.period_us = preset.machines_per_unit, coeffs, periods[depth]
-        self.ratio = periods[depth] / periods[depth - 1]
-        # (period_us, size_kb) of the report each of the root's m feeders sends
-        self.feeder = (periods[depth - 1], level_report_sizes_kb(config)[depth - 1])
+        loads = hierarchy_loads(config, coeffs)
+        timings = hierarchy_timings(loads)
+        self.unit, self.coeffs = preset.machines_per_unit, coeffs
+        self.feeder, self.hold_us = loads[depth - 1], config.hold_us[depth]  # the root's m feeders and window
         self.lower_saturated = next((lv for lv in range(1, depth) if timings.t_in[lv].is_saturated), None)
         # the bound without the root's inflow, its only term that depends on m
         root_free = replace(timings, t_in=(*timings.t_in[:depth], LatencyBound(0)))
@@ -88,8 +83,7 @@ class PresetModel:
 
     def root(self, m: int) -> MachineLoad:
         """The root's load under top fanout ``m``, as `hierarchy_loads` computes it."""
-        size_kb = m * self.ratio * self.feeder[1]
-        return level_load(self.coeffs, self.period_us, size_kb, (m, *self.feeder))
+        return level_above(self.coeffs, self.feeder, m, self.hold_us)
 
     def row(self, m: int) -> SweepRow:
         root = self.root(m)

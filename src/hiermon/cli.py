@@ -87,11 +87,11 @@ def read_config_file(path: Path | str) -> HierarchyConfig:
         fanout = [int(values[f"fanout.{i}"]) for i in range(depth + 1)]
         hold_s = [float(values[f"hold_s.{i}"]) for i in range(depth + 1)]
         period = float(values["service_period_s"])
+        config = HierarchyConfig.from_seconds(depth, fanout, hold_s, period)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    config = HierarchyConfig.from_seconds(depth, fanout, hold_s, period)
     problems = validate(config)
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
@@ -117,13 +117,13 @@ def read_timings_file(path: Path | str, depth: int) -> ChannelTimings:
             raw = values[f"t_in_s.{level}"]
             t_in.append(math.inf if raw.lower() == "saturated" else float(raw))
             t_out.append(float(values[f"t_out_s.{level}"]))
+        if any(v < 0 for v in t_in + t_out):
+            raise ValueError("delays must be >= 0")
+        return ChannelTimings.from_seconds(t_in, t_out)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if any(v < 0 for v in t_in + t_out):
-        raise ValueError(f"{path}: delays must be >= 0")
-    return ChannelTimings.from_seconds(t_in, t_out)
 
 
 # --- shared option handling -----------------------------------------------

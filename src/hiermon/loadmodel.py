@@ -4,7 +4,9 @@ Each machine is a single server, and `level_load` is the one function that
 costs it: utilization is the rate-weighted sum of per-message parse and
 serialize costs, inbound delivery time inflates by 1/(1-U) as the CPU
 approaches saturation, and outbound time stays affine in report size.
-`hierarchy_loads` applies it to every level of a tree.  Coefficients either
+`level_above` costs a level from the one below it; `hierarchy_loads` takes
+that step up from the sensors and `capacity` takes it for the root, so sweep
+rows equal the full model's bit for bit by construction.  Coefficients either
 come from labeled synthetic defaults or are calibrated by timing the real
 parse/serialize/aggregate implementations on the current host.
 
@@ -82,38 +84,17 @@ DEFAULT_COEFFICIENTS = LoadCoefficients(
 
 
 class MachineLoad(NamedTuple):
-    """One machine's CPU utilization and its inbound and outbound delivery times, in seconds."""
+    """One level's machine: its CPU utilization, inbound and outbound delivery times in
+    seconds, and the period and size of the reports it emits."""
 
     utilization: float
     t_in_s: float
     t_out_s: float
+    period_us: int
+    size_kb: float
 
 
 # --- applying the model to a whole hierarchy --------------------------------
-
-
-def emission_periods_us(config: HierarchyConfig) -> list[int]:
-    """Mean time between the reports a level emits: the running maximum of the holds."""
-    periods = [config.hold_us[0]]
-    for hold in config.hold_us[1:]:
-        periods.append(max(hold, periods[-1]))
-    return periods
-
-
-def level_report_sizes_kb(config: HierarchyConfig) -> tuple[float, ...]:
-    """Steady-state report size per level, indexed 0..depth.
-
-    A node report carries one reference-sized report per service.  A level
-    emits once per period ``p[i] = max(hold[i], p[i-1])``, since a window that
-    caught nothing emits nothing, so its report carries ``fanout[i]`` children
-    times ``p[i] / p[i-1]`` child reports.
-    """
-    sizes = [config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024]
-    periods = emission_periods_us(config)
-    for level in range(1, config.depth + 1):
-        ratio = periods[level] / periods[level - 1]
-        sizes.append(config.fanout[level] * ratio * sizes[level - 1])
-    return tuple(sizes)
 
 
 def level_load(
@@ -132,36 +113,44 @@ def level_load(
     emit_s = coeffs.serialize_fixed_s + (coeffs.serialize_s_per_kb + coeffs.aggregate_s_per_kb) * size_kb
     t_out = coeffs.net_latency_s + coeffs.serialize_fixed_s + coeffs.serialize_s_per_kb * size_kb
     if feeders is None:
-        return MachineLoad(out_rate * emit_s, 0.0, t_out)
+        return MachineLoad(out_rate * emit_s, 0.0, t_out, period_us, size_kb)
     count, child_period_us, child_kb = feeders
     in_rate = 1.0 / (child_period_us / 1e6)
     parse_s = coeffs.parse_fixed_s + coeffs.parse_s_per_kb * child_kb
     u = count * in_rate * parse_s + out_rate * emit_s
     t_in = math.inf if u >= 1.0 else coeffs.net_latency_s + parse_s / (1.0 - u)
-    return MachineLoad(u, t_in, t_out)
+    return MachineLoad(u, t_in, t_out, period_us, size_kb)
 
 
-def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> dict[int, MachineLoad]:
-    """Per-level machine load, from sensor machines (0) up to the root channel.
+def level_above(coeffs: LoadCoefficients, feeder: MachineLoad, fanout: int, hold_us: int) -> MachineLoad:
+    """Load of a level whose nodes each hold ``fanout`` feeders' reports for ``hold_us``.
 
-    Raises ValueError, listing `model.validate`'s problems, for an unusable config.
+    A window that caught nothing emits nothing, so the level emits once per
+    ``max(hold, feeder period)``, and its report carries ``fanout`` children
+    times ``period / feeder period`` child reports.
+    """
+    period_us = max(hold_us, feeder.period_us)
+    size_kb = fanout * (period_us / feeder.period_us) * feeder.size_kb
+    return level_load(coeffs, period_us, size_kb, (fanout, feeder.period_us, feeder.size_kb))
+
+
+def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> tuple[MachineLoad, ...]:
+    """Per-level machine load, indexed from the sensors (0) up to the root channel.
+
+    A sensor's report carries one reference-sized report per service.  Raises
+    ValueError, listing `model.validate`'s problems, for an unusable config.
     """
     require_valid(config)
-    sizes = level_report_sizes_kb(config)
-    periods = emission_periods_us(config)
-    loads = {0: level_load(coeffs, periods[0], sizes[0])}
-    for level in range(1, config.depth + 1):
-        feeders = (config.fanout[level], periods[level - 1], sizes[level - 1])
-        loads[level] = level_load(coeffs, periods[level], sizes[level], feeders)
-    return loads
+    loads = [level_load(coeffs, config.hold_us[0], config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024)]
+    for fanout, hold_us in zip(config.fanout[1:], config.hold_us[1:]):
+        loads.append(level_above(coeffs, loads[-1], fanout, hold_us))
+    return tuple(loads)
 
 
-def hierarchy_timings(loads: dict[int, MachineLoad]) -> ChannelTimings:
+def hierarchy_timings(loads: Sequence[MachineLoad]) -> ChannelTimings:
     """Channel timings for the analytic bound from a :func:`hierarchy_loads` result."""
-    levels = range(1, len(loads))
-    return ChannelTimings.from_seconds(
-        [loads[level].t_in_s for level in levels], [loads[level].t_out_s for level in levels]
-    )
+    channels = loads[1:]
+    return ChannelTimings.from_seconds([load.t_in_s for load in channels], [load.t_out_s for load in channels])
 
 
 # --- on-host calibration -----------------------------------------------------

@@ -32,8 +32,11 @@ MAX_ROWS = 10_000_000
 
 
 def seconds_to_micros(value: float) -> int:
-    """Quantize a duration in seconds to whole microseconds."""
-    return round(value * MICROS_PER_SECOND)
+    """Quantize a duration in seconds to whole microseconds; ValueError for NaN or infinity."""
+    try:
+        return round(value * MICROS_PER_SECOND)
+    except (OverflowError, ValueError):
+        raise ValueError(f"duration must be finite, got {value!r}") from None
 
 
 def micros_to_seconds(value: int) -> float:

@@ -105,6 +105,9 @@ class Report:
 
     ``children`` holds :class:`ServiceReport` values for node reports and
     nested :class:`Report` values for intermediate and system reports.
+    `MAX_NESTING` bounds only `parse`: a report built in code has no depth
+    limit, and the generated ``==``, ``hash`` and ``repr`` recurse once per
+    level, so a chain a few hundred levels deep raises RecursionError there.
     """
 
     level_kind: LevelKind

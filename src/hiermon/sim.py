@@ -83,8 +83,9 @@ from hiermon.model import (
     LatencyBound,
     machines_total,
     propagation_time,
+    require_valid,
+    seconds_to_micros,
     staleness_time,
-    validate,
 )
 from hiermon.report import LevelKind, Report, synthetic_service_report
 
@@ -129,13 +130,11 @@ class SimConfig:
         if duration_s is None:
             duration_us = 3 * sum(hierarchy.hold_us)
         else:
-            duration_us = round(duration_s * 1e6)
+            duration_us = seconds_to_micros(duration_s)
         return cls(hierarchy, coeffs, duration_us, seed, jitter_fraction, max_rows)
 
     def __post_init__(self) -> None:
-        problems = validate(self.hierarchy)
-        if problems:
-            raise ValueError("invalid hierarchy: " + "; ".join(problems))
+        require_valid(self.hierarchy)
         if self.duration_us < 3 * sum(self.hierarchy.hold_us):
             raise ValueError("duration must cover at least 3 runs of stacked hold windows")
         if not 0.0 <= self.jitter_fraction < 1.0:
@@ -372,7 +371,7 @@ def run(config: SimConfig) -> SimTrace:
         arrivals=arrivals,
         delivered=sum(block.count for _, blocks in arrivals for block in blocks),
         channel_ids=channel_ids,
-        utilization=[loads[level].utilization for level in range(depth + 1)],
+        utilization=[load.utilization for load in loads],
         max_observed_prop_us=max(
             (now - block.earliest_us for now, blocks in arrivals for block in blocks), default=0
         ),

@@ -140,3 +140,28 @@ def test_sweep_outputs_are_pinned(tmp_path, coeffs, n_max, step):
     for path in sorted(out.iterdir()):
         digest.update(path.name.encode() + b"\n" + path.read_bytes())
     assert digest.hexdigest() == PINNED_SWEEPS[(coeffs, n_max, step)]
+
+
+def _coefficients_of(text: str) -> LoadCoefficients:
+    values = dict(line.split("=") for line in text.splitlines())
+    return LoadCoefficients(**{k: float(v) for k, v in values.items() if k != "calibrated"}, calibrated=True)
+
+
+COEFFICIENT_SETS = {
+    "default": DEFAULT_COEFFICIENTS,
+    "host": _coefficients_of(HOST_COEFFICIENTS),
+    "saturates-level-1": SATURATES_LEVEL_1,
+    "saturates-level-2": SATURATES_LEVEL_2,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.sampled_from(sorted(COEFFICIENT_SETS)), st.data())
+def test_engine_root_is_the_full_model_root(name, coeffs_name, data):
+    """The whole root record, period and size included, equals the full model's, float for float."""
+    preset, coeffs = PRESETS[name], COEFFICIENT_SETS[coeffs_name]
+    capacity = max_machines(preset, coeffs) // preset.machines_per_unit
+    edges = st.sampled_from([1, max(capacity, 1), capacity + 1])
+    m = data.draw(st.integers(1, 2 * max(capacity, 1)) | edges)
+    full = hierarchy_loads(preset.config(m * preset.machines_per_unit), coeffs)
+    assert PresetModel(preset, coeffs).root(m) == full[-1]

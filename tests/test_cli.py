@@ -234,6 +234,12 @@ def test_timings_file_parses_saturated_marker(tmp_path):
     assert timings.t_out_us == (0, 100_000, 500_000)
 
 
+def test_timings_file_reads_infinite_inflow_as_saturated(tmp_path):
+    path = tmp_path / "timings.txt"
+    path.write_text("t_in_s.1=inf\nt_out_s.1=0.1\n")
+    assert read_timings_file(path, 1).t_in == (LatencyBound(0), SATURATED)
+
+
 def test_timings_file_rejects_negative_delay(tmp_path):
     path = tmp_path / "timings.txt"
     path.write_text("t_in_s.1=-0.1\nt_out_s.1=0.1\n")
@@ -714,4 +720,32 @@ def test_non_finite_coefficient_exits_two_before_any_output(capsys, tmp_path, va
     assert code == 2
     assert out == ""
     assert err == f"error: cannot read coefficients: {coeffs_path}: {problem}\n"
+    assert not out_dir.exists()
+
+
+_TOPOLOGY = "h=1\nfanout.0=1\nfanout.1=4\nhold_s.0={hold}\nhold_s.1=10\nservice_period_s={period}\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("case", [
+    "hold-analyze", "hold-simulate", "period-analyze", "period-simulate", "timings", "duration",
+])
+def test_non_finite_duration_exits_two_before_any_output(capsys, tmp_path, case, value):
+    path = tmp_path / "input.txt"
+    if case == "timings":
+        path.write_text(f"t_in_s.1=0.5\nt_out_s.1={value}\n")
+        argv = ["analyze", "--preset", "single-level", "--timings", str(path)]
+    elif case == "duration":
+        argv = ["simulate", "--preset", "single-level", "--n-total", "5", "--duration", value]
+    else:
+        hold, period = (value, "10") if case.startswith("hold") else ("10", value)
+        path.write_text(_TOPOLOGY.format(hold=hold, period=period))
+        argv = [case.split("-")[1], "--config", str(path)]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--out", str(out_dir), *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"got {value}" in err
+    assert case == "duration" or str(path) in err
     assert not out_dir.exists()

@@ -6,7 +6,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hiermon.loadmodel import (
@@ -18,13 +18,13 @@ from hiermon.loadmodel import (
     hierarchy_loads,
     hierarchy_timings,
     level_load,
-    level_report_sizes_kb,
     measure_costs,
     read_coefficients,
     write_coefficients,
     write_samples_csv,
 )
 from hiermon.model import SATURATED, HierarchyConfig, propagation_time
+from hiermon.report import REFERENCE_NODE_REPORT_BYTES
 
 TINY_OUTPUT = (1e-12, 1e-9)
 
@@ -144,26 +144,52 @@ class TestModelProperties:
 THREE_LEVEL = HierarchyConfig.from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
 
 
+def level_sizes_kb(config: HierarchyConfig) -> tuple[float, ...]:
+    return tuple(load.size_kb for load in hierarchy_loads(config, DEFAULT_COEFFICIENTS))
+
+
+def reference_periods_and_sizes(config: HierarchyConfig) -> tuple[list[int], list[float]]:
+    """The two-pass rule `level_above` replaced: periods are the running maximum of the
+    holds, and level i's size is ``fanout[i] * p[i]/p[i-1] * size[i-1]``."""
+    periods = [config.hold_us[0]]
+    for hold in config.hold_us[1:]:
+        periods.append(max(hold, periods[-1]))
+    sizes = [config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024]
+    for level in range(1, config.depth + 1):
+        ratio = periods[level] / periods[level - 1]
+        sizes.append(config.fanout[level] * ratio * sizes[level - 1])
+    return periods, sizes
+
+
+@st.composite
+def trees(draw) -> HierarchyConfig:
+    """Depth 1-4 trees whose holds rise, repeat and fall, with ``hold[0]`` also below the service period."""
+    depth = draw(st.integers(1, 4))
+    fanout = [draw(st.integers(1, 4)), *(draw(st.integers(1, 200)) for _ in range(depth))]
+    holds = [draw(st.sampled_from([0.5, 1, 7, 10, 30, 45, 60, 600])) for _ in range(depth + 1)]
+    return HierarchyConfig.from_seconds(depth, fanout, holds, draw(st.sampled_from([1, 10, 30, 60])))
+
+
 class TestHierarchyLoads:
     def test_level_sizes_include_window_multiplicity(self):
         # Each level-1 window collects 3 flushes from each of 10 sensors.
-        assert level_report_sizes_kb(THREE_LEVEL) == (0.5, 15.0, 150.0, 600.0)
+        assert level_sizes_kb(THREE_LEVEL) == (0.5, 15.0, 150.0, 600.0)
 
     def test_two_level_sizes(self):
         cfg = HierarchyConfig.from_seconds(2, [1, 50, 8], [30, 30, 30], 30)
-        assert level_report_sizes_kb(cfg) == (0.5, 25.0, 200.0)
+        assert level_sizes_kb(cfg) == (0.5, 25.0, 200.0)
 
     def test_node_size_counts_services_and_empty_windows_emit_nothing(self):
         # 4 services x 512 B per node report; holds below 30 s still emit every 30 s.
         cfg = HierarchyConfig.from_seconds(2, [4, 5, 4], [30, 10, 10], 30)
-        assert level_report_sizes_kb(cfg) == (2.0, 10.0, 40.0)
+        assert level_sizes_kb(cfg) == (2.0, 10.0, 40.0)
         root = hierarchy_loads(cfg, DEFAULT_COEFFICIENTS)[2]
         expected = 4 / 30 * (0.050 + 0.008 * 10.0) + (0.010 + 0.003 * 40.0) / 30
         assert root.utilization == pytest.approx(expected, rel=1e-12)
 
     def test_three_level_defaults_stay_unsaturated(self):
         loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
-        assert set(loads) == {0, 1, 2, 3}
+        assert len(loads) == 4
         assert not any(t.is_saturated for t in hierarchy_timings(loads).t_in)
         assert loads[1].utilization == pytest.approx(0.054 + 0.055 / 30, rel=1e-6)
         assert loads[0].t_in_s == 0.0
@@ -188,6 +214,16 @@ class TestHierarchyLoads:
     def test_invalid_config_refused_with_the_validate_message(self, config, message):
         with pytest.raises(ValueError, match=re.escape(f"invalid hierarchy config: {message}")):
             hierarchy_loads(config, DEFAULT_COEFFICIENTS)
+
+    @settings(max_examples=200)
+    @given(trees())
+    @example(HierarchyConfig.from_seconds(3, [3, 7, 5, 2], [60, 10, 600, 45], 30))
+    @example(HierarchyConfig.from_seconds(2, [1, 3, 3], [0.5, 0.5, 0.5], 30))
+    def test_periods_and_sizes_follow_the_two_pass_rule_bit_for_bit(self, config):
+        periods, sizes = reference_periods_and_sizes(config)
+        loads = hierarchy_loads(config, DEFAULT_COEFFICIENTS)
+        assert [load.period_us for load in loads] == periods
+        assert [load.size_kb for load in loads] == sizes
 
     def test_timings_cover_every_level(self):
         timings = hierarchy_timings(hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS))

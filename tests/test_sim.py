@@ -24,7 +24,6 @@ from hiermon.loadmodel import (
     LoadCoefficients,
     hierarchy_loads,
     hierarchy_timings,
-    level_report_sizes_kb,
 )
 from hiermon.model import HierarchyConfig, LatencyBound, machines_total
 from hiermon.report import iter_leaves, measure, parse, serialize
@@ -369,7 +368,7 @@ class TestAgainstModel:
             measure(window_report(window, period_s)).bytes / 1024
             for window in root_windows(root_flushes)
         )
-        model_kb = level_report_sizes_kb(hierarchy)[-1]
+        model_kb = hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS)[-1].size_kb
         assert model_kb == pytest.approx(observed_kb, rel=0.10)
 
 

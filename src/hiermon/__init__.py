@@ -11,20 +11,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "DEFAULT_COEFFICIENTS": "hiermon.loadmodel",
     "SATURATED": "hiermon.model",
-    "ChannelTimings": "hiermon.model",
     "HierarchyConfig": "hiermon.model",
     "LatencyBound": "hiermon.model",
     "LoadCoefficients": "hiermon.loadmodel",
     "SimConfig": "hiermon.sim",
     "SimTrace": "hiermon.sim",
-    "channels_at_level": "hiermon.model",
     "hierarchy_loads": "hiermon.loadmodel",
-    "hierarchy_timings": "hiermon.loadmodel",
     "machines_total": "hiermon.model",
-    "propagation_time": "hiermon.model",
-    "propagation_time_recursive": "hiermon.model",
     "run": "hiermon.sim",
-    "staleness_time": "hiermon.model",
     "validate": "hiermon.model",
 }
 

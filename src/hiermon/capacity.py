@@ -1,20 +1,23 @@
 """Capacity of named tree shapes: sweeps over the top fanout and the largest tree.
 
 A preset fixes every fanout but the root's, ``m``.  The levels below the root
-read no fanout above their own, so they, and their part of the propagation
-bound, are the same for every ``m``: `PresetModel` evaluates them once, and
-each ``m`` costs the root one `level_above`, the step `hierarchy_loads` takes
-for every level, so rows equal the full model's bit for bit by construction.
+read no fanout above their own, so their records, and the `departure` of a
+report from them, are the same for every ``m``: `PresetModel` evaluates them
+once.  Each ``m`` then costs the root one `level_above`, and a row one
+`inflow` conversion and one addition, the steps `hierarchy_loads` takes for
+every level, so rows equal the full model's bit for bit by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from hiermon.loadmodel import LoadCoefficients, MachineLoad, hierarchy_loads, hierarchy_timings, level_above
-from hiermon.model import HierarchyConfig, LatencyBound, propagation_time
+from hiermon.loadmodel import (
+    LoadCoefficients, TreeLevel, departure, hierarchy_loads, inflow, level_above, level_record,
+)
+from hiermon.model import HierarchyConfig, LatencyBound
 
 
 @dataclass(frozen=True)
@@ -72,32 +75,49 @@ class PresetModel:
     def __init__(self, preset: HierarchyPreset, coeffs: LoadCoefficients):
         config = preset.config(preset.machines_per_unit)
         depth = self.depth = config.depth
-        loads = hierarchy_loads(config, coeffs)
-        timings = hierarchy_timings(loads)
+        levels = hierarchy_loads(config, coeffs)
         self.unit, self.coeffs = preset.machines_per_unit, coeffs
-        self.feeder, self.hold_us = loads[depth - 1], config.hold_us[depth]  # the root's m feeders and window
-        self.lower_saturated = next((lv for lv in range(1, depth) if timings.t_in[lv].is_saturated), None)
-        # the bound without the root's inflow, its only term that depends on m
-        root_free = replace(timings, t_in=(*timings.t_in[:depth], LatencyBound(0)))
-        self.lower_bound = propagation_time(config, root_free, depth)
+        self.below, self.hold_us = levels[depth - 1], config.hold_us[depth]  # the root's m feeders and window
+        self.sent = departure(config, depth - 1, self.below)
+        self.lower_saturated = next((lv for lv in range(1, depth) if levels[lv].t_in.is_saturated), None)
 
-    def root(self, m: int) -> MachineLoad:
-        """The root's load under top fanout ``m``, as `hierarchy_loads` computes it."""
-        return level_above(self.coeffs, self.feeder, m, self.hold_us)
+    def root(self, m: int) -> TreeLevel:
+        """The root's record under top fanout ``m``, as `hierarchy_loads` computes it."""
+        return level_record(self.sent, level_above(self.coeffs, self.below, m, self.hold_us))
 
     def row(self, m: int) -> SweepRow:
-        root = self.root(m)
-        t_in = LatencyBound.of_seconds(root.t_in_s)
+        """`root`'s bound, utilization and saturation, without building its record."""
+        load = level_above(self.coeffs, self.below, m, self.hold_us)
+        t_in = inflow(load)
         saturated = self.lower_saturated or (self.depth if t_in.is_saturated else None)
-        return SweepRow(m * self.unit, self.lower_bound + t_in, root.utilization, saturated)
+        return SweepRow(m * self.unit, self.sent + t_in, load.utilization, saturated)
+
+
+#: Most rows one sweep builds over all its presets: a million `single-level` rows
+#: peaked at 162 MB RSS on a 2-CPU host.
+MAX_SWEEP_ROWS = 1_000_000
+
+
+def _top_fanouts(preset: HierarchyPreset, n_max: int, step: int) -> range:
+    """The top fanouts a sweep evaluates: machine counts up to ``n_max``, ``step`` snapped to the unit."""
+    unit = preset.machines_per_unit
+    stride = max(1, round(step / unit))
+    return range(stride, n_max // unit + 1, stride)
+
+
+def check_sweep(presets: list[HierarchyPreset], n_max: int, step: int) -> None:
+    """Raise ValueError unless sweeping ``presets`` stays within `MAX_SWEEP_ROWS`."""
+    if n_max < 1 or step < 1:
+        raise ValueError("--n-max and --step must be at least 1")
+    rows = sum(len(_top_fanouts(preset, n_max, step)) for preset in presets)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"the sweep would build {rows} rows, above the budget of {MAX_SWEEP_ROWS}")
 
 
 def sweep_preset(preset: HierarchyPreset, coeffs: LoadCoefficients, n_max: int, step: int) -> list[SweepRow]:
     """Analytic capacity curve: one row per machine count, past saturation."""
-    unit = preset.machines_per_unit
-    stride = max(1, round(step / unit))
     model = PresetModel(preset, coeffs)
-    return [model.row(m) for m in range(stride, n_max // unit + 1, stride)]
+    return [model.row(m) for m in _top_fanouts(preset, n_max, step)]
 
 
 def max_machines(preset: HierarchyPreset, coeffs: LoadCoefficients) -> int:

@@ -17,8 +17,8 @@ each one up on this module when it runs, so a hook or patch set on
 calls; a function-local import from `hiermon.sim` would bypass it.
 
 Exit codes: 0 success, 1 output pipe closed early, 2 usage/config error
-(including `simulate` on a saturated tree or over its row budget), 3
-calibration failure.
+(including `simulate` on a saturated tree or over its row or event budget,
+and `sweep` over its row budget), 3 calibration failure.
 """
 
 from __future__ import annotations
@@ -30,33 +30,26 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from hiermon.capacity import PRESETS, max_machines, sweep_preset
+from hiermon.capacity import PRESETS, check_sweep, max_machines, sweep_preset
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     MAX_CALIBRATION_KB,
     MAX_CALIBRATION_REPS,
     CalibrationUnstableError,
     LoadCoefficients,
+    MachineLoad,
+    TreeLevel,
     check_protocol,
     fit,
     hierarchy_loads,
-    hierarchy_timings,
     measure_costs,
     read_coefficients,
     read_key_values,
+    tree_levels,
     write_coefficients,
     write_samples_csv,
 )
-from hiermon.model import (
-    MAX_ROWS,
-    ChannelTimings,
-    HierarchyConfig,
-    LatencyBound,
-    machines_total,
-    propagation_time,
-    staleness_time,
-    validate,
-)
+from hiermon.model import MAX_ROWS, HierarchyConfig, LatencyBound, machines_total, validate
 
 #: Names of `hiermon.sim` that `cmd_simulate` calls as attributes of this module.
 _SIM_NAMES = (
@@ -98,28 +91,20 @@ def read_config_file(path: Path | str) -> HierarchyConfig:
     return config
 
 
-def write_config_file(path: Path | str, config: HierarchyConfig) -> None:
-    lines = [f"h={config.depth}"]
-    lines += [f"fanout.{i}={f}" for i, f in enumerate(config.fanout)]
-    lines += [f"hold_s.{i}={h}" for i, h in enumerate(config.hold_seconds)]
-    lines.append(f"service_period_s={config.service_period_seconds}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_timings_file(path: Path | str, depth: int) -> ChannelTimings:
-    """Read per-level delays: `t_in_s.i` (or `saturated`) and `t_out_s.i`."""
+def read_timings_file(path: Path | str, config: HierarchyConfig) -> tuple[TreeLevel, ...]:
+    """The tree's records, without load fields, from per-level delays: `t_in_s.i` (or
+    `saturated`) and `t_out_s.i`."""
     path = Path(path)
     values = read_key_values(path)
-    t_in: list[float] = []
-    t_out: list[float] = []
+    t_in, t_out = [0.0], [0.0]  # the sensors' delays, which `tree_levels` does not read
     try:
-        for level in range(1, depth + 1):
+        for level in range(1, config.depth + 1):
             raw = values[f"t_in_s.{level}"]
             t_in.append(math.inf if raw.lower() == "saturated" else float(raw))
             t_out.append(float(values[f"t_out_s.{level}"]))
         if any(v < 0 for v in t_in + t_out):
             raise ValueError("delays must be >= 0")
-        return ChannelTimings.from_seconds(t_in, t_out)
+        return tree_levels(config, [MachineLoad(None, i, o, None, None) for i, o in zip(t_in, t_out)])
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]}") from None
     except ValueError as exc:
@@ -183,15 +168,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     coeffs = _load_coeffs(args)
     if args.timings is not None:
-        timings = read_timings_file(args.timings, config.depth)
+        tree = read_timings_file(args.timings, config)
     else:
-        timings = hierarchy_timings(hierarchy_loads(config, coeffs))
+        tree = hierarchy_loads(config, coeffs)
         print(f"# coefficients: {_coeffs_label(coeffs, args)}", file=sys.stderr)
     print("level,t_prop_s,t_stale_s")
-    for level in range(config.depth + 1):
-        prop = propagation_time(config, timings, level)
-        stale = staleness_time(config, timings, level)
-        print(f"{level},{_fmt_seconds(prop)},{_fmt_seconds(stale)}")
+    for level, record in enumerate(tree):
+        stale = record.reach + config.service_period_us
+        print(f"{level},{_fmt_seconds(record.reach)},{_fmt_seconds(stale)}")
     return 0
 
 
@@ -263,8 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_max < 1 or args.step < 1:
-        raise ValueError("--n-max and --step must be at least 1")
+    check_sweep([PRESETS[name] for name in args.presets], args.n_max, args.step)
     coeffs = _load_coeffs(args)
     out = _out_dir(args)
     print(f"coefficients: {_coeffs_label(coeffs, args)}")
@@ -332,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="per-level propagation/staleness table")
     _add_topology(analyze)
     analyze.add_argument("--timings", metavar="FILE",
-                         help="per-level delay file; otherwise the load model supplies delays")
+                         help="per-level delays, t_in_s.i (or saturated) and t_out_s.i, "
+                              "in place of the load model's")
     _add_common(analyze)
     analyze.set_defaults(func=cmd_analyze)
 

@@ -4,10 +4,13 @@ Each machine is a single server, and `level_load` is the one function that
 costs it: utilization is the rate-weighted sum of per-message parse and
 serialize costs, inbound delivery time inflates by 1/(1-U) as the CPU
 approaches saturation, and outbound time stays affine in report size.
-`level_above` costs a level from the one below it; `hierarchy_loads` takes
-that step up from the sensors and `capacity` takes it for the root, so sweep
-rows equal the full model's bit for bit by construction.  Coefficients either
-come from labeled synthetic defaults or are calibrated by timing the real
+`level_above` costs a level from the one below it, and `level_record` turns
+that cost into the level's `TreeLevel`, the one record of a level every
+command reads: its delays in microseconds and its propagation bound, each
+converted or summed here once.  `hierarchy_loads` takes both steps up from
+the sensors and `capacity` takes them for the root, so sweep rows equal the
+full model's bit for bit by construction.  Coefficients either come from
+labeled synthetic defaults or are calibrated by timing the real
 parse/serialize/aggregate implementations on the current host.
 
 The timed loops in :func:`measure_costs` must run on a single thread with no
@@ -26,7 +29,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, NamedTuple, Sequence
 
-from hiermon.model import ChannelTimings, HierarchyConfig, require_valid
+from hiermon.model import HierarchyConfig, LatencyBound, require_valid, seconds_to_micros
 from hiermon.report import (
     REFERENCE_NODE_REPORT_BYTES, LevelKind, aggregate, parse, report_of_size_kb, serialize,
 )
@@ -94,6 +97,31 @@ class MachineLoad(NamedTuple):
     size_kb: float
 
 
+class TreeLevel(NamedTuple):
+    """One level of a tree, from the sensors (0) to the root, as every command reads it.
+
+    The load fields come from the level's `MachineLoad`, and are None when a
+    timings file gives the delays.  ``t_in`` is :data:`~hiermon.model.SATURATED`
+    for a saturated level, and both delays are 0 at the sensors.  ``reach``
+    is the worst-case time for a service report to arrive at the level::
+
+        reach(0) = hold[0]
+        reach(1) = reach(0) + t_in[1]
+        reach(i) = reach(i-1) + hold[i-1] + t_out[i-1] + t_in[i]    (i >= 2)
+
+    A saturated inflow absorbs every bound above it.  A level's share of the
+    bound is ``reach`` less the level below's, and its staleness is ``reach``
+    plus one service period.
+    """
+
+    utilization: float | None
+    period_us: int | None
+    size_kb: float | None
+    t_in: LatencyBound
+    t_out_us: int
+    reach: LatencyBound
+
+
 # --- applying the model to a whole hierarchy --------------------------------
 
 
@@ -134,8 +162,42 @@ def level_above(coeffs: LoadCoefficients, feeder: MachineLoad, fanout: int, hold
     return level_load(coeffs, period_us, size_kb, (fanout, feeder.period_us, feeder.size_kb))
 
 
-def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> tuple[MachineLoad, ...]:
-    """Per-level machine load, indexed from the sensors (0) up to the root channel.
+def inflow(load: MachineLoad) -> LatencyBound:
+    """A level's inflow delay in whole µs, :data:`~hiermon.model.SATURATED` once it is infinite."""
+    return LatencyBound.of_seconds(load.t_in_s)
+
+
+def level_record(sent: LatencyBound, load: MachineLoad) -> TreeLevel:
+    """The record of the level ``load`` costs, whose reports have all left the level below
+    by ``sent``: that level's `departure`."""
+    t_in = inflow(load)
+    t_out_us = seconds_to_micros(load.t_out_s)
+    return TreeLevel(load.utilization, load.period_us, load.size_kb, t_in, t_out_us, sent + t_in)
+
+
+def departure(config: HierarchyConfig, level: int, record: TreeLevel) -> LatencyBound:
+    """Worst-case time for a service report to leave ``level``, whose record is ``record``.
+
+    It waits out the level's hold there, except at the sensors, whose window
+    ``reach`` already counts, and leaves ``t_out`` after that; so the level
+    above has ``reach = departure + t_in``.
+    """
+    wait_us = config.hold_us[level] if level else 0
+    return record.reach + (wait_us + record.t_out_us)
+
+
+def tree_levels(config: HierarchyConfig, loads: Sequence[MachineLoad]) -> tuple[TreeLevel, ...]:
+    """The records of levels 0..depth from each level's load; the sensors' delays are not read."""
+    sensor = loads[0]
+    levels = [TreeLevel(sensor.utilization, sensor.period_us, sensor.size_kb, LatencyBound(0), 0,
+                        LatencyBound(config.hold_us[0]))]
+    for below, load in enumerate(loads[1:]):
+        levels.append(level_record(departure(config, below, levels[-1]), load))
+    return tuple(levels)
+
+
+def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> tuple[TreeLevel, ...]:
+    """Per-level records, indexed from the sensors (0) up to the root channel.
 
     A sensor's report carries one reference-sized report per service.  Raises
     ValueError, listing `model.validate`'s problems, for an unusable config.
@@ -144,13 +206,7 @@ def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> tuple[
     loads = [level_load(coeffs, config.hold_us[0], config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024)]
     for fanout, hold_us in zip(config.fanout[1:], config.hold_us[1:]):
         loads.append(level_above(coeffs, loads[-1], fanout, hold_us))
-    return tuple(loads)
-
-
-def hierarchy_timings(loads: Sequence[MachineLoad]) -> ChannelTimings:
-    """Channel timings for the analytic bound from a :func:`hierarchy_loads` result."""
-    channels = loads[1:]
-    return ChannelTimings.from_seconds([load.t_in_s for load in channels], [load.t_out_s for load in channels])
+    return tree_levels(config, loads)
 
 
 # --- on-host calibration -----------------------------------------------------

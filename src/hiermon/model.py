@@ -1,19 +1,11 @@
-"""Worst-case propagation and staleness bounds for balanced aggregation trees.
+"""Shape and timing of balanced aggregation trees, and the worst-case delay type.
 
 A monitoring tree has ``depth`` aggregation levels above the service level.
 Level 0 is the per-machine sensor, levels 1..depth are aggregation channels,
 and the level-``depth`` channel is the single root that assembles the global
-report.  Every duration is held as an integer number of microseconds so that
-the closed-form and recursive evaluations of the bounds agree bit for bit.
-
-The per-report bound unrolls to::
-
-    reach(0) = hold[0]
-    reach(1) = reach(0) + t_in[1]
-    reach(i) = reach(i-1) + hold[i-1] + t_out[i-1] + t_in[i]    (i >= 2)
-
-and staleness at a level is that bound plus one service reporting period.
-A saturated inflow (unbounded t_in) absorbs every bound downstream of it.
+report.  Every duration is held as an integer number of microseconds, so
+bounds add up exactly; `hiermon.loadmodel.TreeLevel` carries each level's
+delays and its propagation bound.
 """
 
 from __future__ import annotations
@@ -21,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MICROS_PER_SECOND = 1_000_000
 
@@ -149,83 +141,7 @@ def require_valid(config: HierarchyConfig) -> None:
         raise ValueError("invalid hierarchy config: " + "; ".join(problems))
 
 
-def channels_at_level(config: HierarchyConfig, level: int) -> int:
-    """Number of aggregation nodes at a level; the root level has exactly one."""
-    _check_level(config, level)
-    return prod(config.fanout[level + 1 :])
-
-
 def machines_total(config: HierarchyConfig) -> int:
     """Monitored machines in the tree: one sensor per machine."""
     require_valid(config)
     return prod(config.fanout[1:])
-
-
-@dataclass(frozen=True)
-class ChannelTimings:
-    """Measured or modeled per-level delivery delays.
-
-    Tuples are indexed by level; slot 0 is padding so ``t_in[i]`` is the
-    inflow delay of level i, :data:`SATURATED` for a saturated level.
-    """
-
-    t_in: tuple[LatencyBound, ...]
-    t_out_us: tuple[int, ...]
-
-    @classmethod
-    def from_seconds(
-        cls, t_in_s: Iterable[float], t_out_s: Iterable[float]
-    ) -> "ChannelTimings":
-        """Build from per-level sequences covering levels 1..depth; inf saturates."""
-        t_in = (LatencyBound(0), *map(LatencyBound.of_seconds, t_in_s))
-        t_out = (0, *map(seconds_to_micros, t_out_s))
-        return cls(t_in, t_out)
-
-    @classmethod
-    def zero(cls, depth: int) -> "ChannelTimings":
-        return cls((LatencyBound(0),) * (depth + 1), (0,) * (depth + 1))
-
-
-def _check_level(config: HierarchyConfig, level: int) -> None:
-    if not 0 <= level <= config.depth:
-        raise ValueError(f"level must be in 0..{config.depth}, got {level}")
-
-
-def propagation_time_recursive(
-    config: HierarchyConfig, timings: ChannelTimings, level: int
-) -> LatencyBound:
-    """Unrolled worst-case time for a service report to reach a level's aggregator."""
-    _check_level(config, level)
-    if level == 0:
-        return LatencyBound(config.hold_us[0])
-    previous = propagation_time_recursive(config, timings, level - 1)
-    t_in = timings.t_in[level]
-    if level == 1:
-        return previous + t_in
-    return previous + config.hold_us[level - 1] + timings.t_out_us[level - 1] + t_in
-
-
-def propagation_time(
-    config: HierarchyConfig, timings: ChannelTimings, level: int
-) -> LatencyBound:
-    """Closed-form equivalent of :func:`propagation_time_recursive`.
-
-    holds 0..level-1 + outflows 1..level-1 + inflows 1..level, with the
-    degenerate level 0 being just the sensor pickup window.
-    """
-    _check_level(config, level)
-    if level == 0:
-        return LatencyBound(config.hold_us[0])
-    fixed = sum(config.hold_us[0:level]) + sum(timings.t_out_us[1:level])
-    return sum(timings.t_in[1 : level + 1], LatencyBound(fixed))
-
-
-def staleness_time(
-    config: HierarchyConfig, timings: ChannelTimings, level: int
-) -> LatencyBound:
-    """Worst-case age of a service report held at a level's aggregator.
-
-    One full reporting period older than the propagation bound: the observed
-    condition may be a whole period stale by the time its report is emitted.
-    """
-    return propagation_time(config, timings, level) + config.service_period_us

@@ -1,11 +1,12 @@
 """Deterministic discrete-event simulation of a whole monitoring tree.
 
 The event loop drives sensor flushes, channel flushes and message arrivals
-on an integer-microsecond clock.  Delivery delays are the load model's
-per-level input/output times, so every observed propagation can be compared
-exactly against the analytic worst-case bound computed from the same
-numbers.  `SimConfig` refuses a run whose trace could exceed the row budget,
-and `run` refuses a saturated tree, both before any per-machine state.
+on an integer-microsecond clock.  Delivery delays and the analytic
+worst-case bound come from the same per-level records
+(`loadmodel.hierarchy_loads`), so every observed propagation can be compared
+exactly against the bound.  `SimConfig` refuses a run whose trace could
+exceed the row budget or whose events could exceed `MAX_EVENTS`, and `run`
+refuses a saturated tree, all before any per-machine state.
 
 Event rules.  Every level is one object with one flush schedule, and the
 heap holds one entry per (instant, kind, level): ``SENSOR_FLUSH`` and
@@ -71,21 +72,9 @@ from hiermon.channel import (
     sensor_flush,
     window_blocks,
 )
-from hiermon.loadmodel import (
-    DEFAULT_COEFFICIENTS,
-    LoadCoefficients,
-    hierarchy_loads,
-    hierarchy_timings,
-)
+from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads
 from hiermon.model import (
-    MAX_ROWS,
-    HierarchyConfig,
-    LatencyBound,
-    machines_total,
-    propagation_time,
-    require_valid,
-    seconds_to_micros,
-    staleness_time,
+    MAX_ROWS, HierarchyConfig, LatencyBound, machines_total, require_valid, seconds_to_micros,
 )
 from hiermon.report import LevelKind, Report, synthetic_service_report
 
@@ -104,6 +93,11 @@ _CHANNEL_FLUSH, _SENSOR_FLUSH, _ARRIVAL = range(len(_KINDS))  # heap keys
 _MIN_WINDOW_US = 1_000  # report timestamps are milliseconds; finer windows alias
 
 _BATCH_ROWS = 1_000  # rows per write of either CSV export: few writes, small strings
+
+#: Most flush and arrival events one run may take, counted as every level's flushes in
+#: the run plus as many arrivals: a one-machine tree runs about 0.4 million events/s on
+#: a 2-CPU host, so the budget is some 25 s of event loop.
+MAX_EVENTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -148,6 +142,9 @@ class SimConfig:
                 f"the trace could reach {self.row_bound} rows, above the budget of "
                 f"{self.max_rows} (--max-rows raises it)"
             )
+        events = 2 * sum(self.duration_us // hold for hold in self.hierarchy.hold_us)
+        if events > MAX_EVENTS:
+            raise ValueError(f"the run could take {events} events, above the budget of {MAX_EVENTS}")
 
     @property
     def row_bound(self) -> int:
@@ -272,18 +269,14 @@ def run(config: SimConfig) -> SimTrace:
     """
     hierarchy = config.hierarchy
     depth = hierarchy.depth
-    loads = hierarchy_loads(hierarchy, config.coeffs)
-    model_timings = hierarchy_timings(loads)
-    saturated = [lv for lv in range(1, depth + 1) if model_timings.t_in[lv].is_saturated]
+    tree = hierarchy_loads(hierarchy, config.coeffs)
+    saturated = [lv for lv in range(1, depth + 1) if tree[lv].t_in.is_saturated]
     if saturated:
         raise ValueError(
             f"saturated channel levels: {', '.join(map(str, saturated))} "
             "(utilization >= 1); the simulator needs finite delays at every level"
         )
-    bound = propagation_time(hierarchy, model_timings, depth)
-    stale_bound = staleness_time(hierarchy, model_timings, depth)
-    t_in_us = [t.micros for t in model_timings.t_in]
-    t_out_us = model_timings.t_out_us
+    bound = tree[depth].reach
 
     n_machines = machines_total(hierarchy)
     period_us = hierarchy.service_period_us
@@ -306,7 +299,7 @@ def run(config: SimConfig) -> SimTrace:
         for level in range(1, depth + 1)
     ]
     # hop_us[level] = delay from a flush at `level` to its arrival one level up
-    hop_us = [t_in_us[1]] + [t_out_us[level] + t_in_us[level + 1] for level in range(1, depth)]
+    hop_us = [tree[level].t_out_us + tree[level + 1].t_in.micros for level in range(depth)]
     # a leaf emitted by then has the bound plus one root hold to reach a root window
     horizon = config.duration_us - bound.micros - hierarchy.hold_us[depth]
 
@@ -371,12 +364,12 @@ def run(config: SimConfig) -> SimTrace:
         arrivals=arrivals,
         delivered=sum(block.count for _, blocks in arrivals for block in blocks),
         channel_ids=channel_ids,
-        utilization=[load.utilization for load in loads],
+        utilization=[level.utilization for level in tree],
         max_observed_prop_us=max(
             (now - block.earliest_us for now, blocks in arrivals for block in blocks), default=0
         ),
         analytic_bound=bound,
-        staleness_bound=stale_bound,
+        staleness_bound=bound + hierarchy.service_period_us,
         losslessness=LosslessnessReport(published, covered, missing, duplicated),
         event_counts=Counter({_KINDS[kind]: n for kind, n in counts.items()}),
     )
@@ -397,8 +390,8 @@ def check_staleness(trace: SimTrace) -> bool:
     A leaf's age is its propagation plus one service period, so the oldest
     delivery decides: this is "every ``trace.csv`` row has ``propagation_us +
     period <= limit``" without reading the rows.  With no deliveries both
-    read true, since `model.staleness_time` is the propagation bound plus
-    the service period and so never below the period.
+    read true, since the staleness bound is the propagation bound plus the
+    service period and so never below the period.
     """
     limit = trace.staleness_bound.micros
     period = trace.config.hierarchy.service_period_us

@@ -22,16 +22,7 @@ from hiermon.loadmodel import (
     fit,
     measure_costs,
 )
-from hiermon.model import (
-    SATURATED,
-    ChannelTimings,
-    HierarchyConfig,
-    LatencyBound,
-    machines_total,
-    propagation_time,
-    propagation_time_recursive,
-    staleness_time,
-)
+from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total
 from hiermon.report import (
     LevelKind,
     aggregate,
@@ -44,6 +35,7 @@ from hiermon.report import (
     synthetic_service_report,
 )
 from hiermon.sim import SimConfig, run, verify_against_model
+from support import delay_tree, reach_recursive
 
 CHEAP = LoadCoefficients(
     parse_s_per_kb=1e-9,
@@ -75,15 +67,10 @@ def _random_config(rng: Random, max_depth: int = 5) -> HierarchyConfig:
     )
 
 
-def _random_timings(rng: Random, depth: int, allow_saturated: bool) -> ChannelTimings:
-    def delay() -> LatencyBound:
-        if allow_saturated and rng.random() < 0.1:
-            return SATURATED
-        return LatencyBound(rng.randint(0, 5_000_000))
-
-    t_in = [delay() for _ in range(depth)]
-    t_out = [rng.randint(0, 5_000_000) for _ in range(depth)]
-    return ChannelTimings(t_in=(LatencyBound(0), *t_in), t_out_us=(0, *t_out))
+def _random_delays(rng: Random, depth: int) -> tuple[list[int | None], list[int]]:
+    """Levels 1..depth's inflow and outflow delays in µs; a tenth of the inflows saturate (None)."""
+    t_in = [None if rng.random() < 0.1 else rng.randint(0, 5_000_000) for _ in range(depth)]
+    return t_in, [rng.randint(0, 5_000_000) for _ in range(depth)]
 
 
 def _random_sim_config(rng: Random) -> SimConfig:
@@ -105,19 +92,20 @@ def _random_sim_config(rng: Random) -> SimConfig:
         )
 
 
-def test_c1_closed_form_equals_recursion(capsys):
+def test_c1_records_equal_recursion(capsys):
     rng = Random(20260814)
     failures: list[str] = []
     started = time.perf_counter()
     for case in range(1000):
         config = _random_config(rng)
-        timings = _random_timings(rng, config.depth, allow_saturated=True)
+        t_in_us, t_out_us = _random_delays(rng, config.depth)
+        tree = delay_tree(config, t_in_us, t_out_us)
+        t_in = (LatencyBound(0), *(SATURATED if t is None else LatencyBound(t) for t in t_in_us))
         for level in range(config.depth + 1):
-            closed = propagation_time(config, timings, level)
-            recursive = propagation_time_recursive(config, timings, level)
-            if closed != recursive:
+            recursive = reach_recursive(config, t_in, (0, *t_out_us), level)
+            if tree[level].reach != recursive:
                 failures.append(
-                    f"case {case} level {level}: closed {closed} != recursive {recursive}"
+                    f"case {case} level {level}: record {tree[level].reach} != recursive {recursive}"
                 )
                 break
         if failures:
@@ -125,7 +113,7 @@ def test_c1_closed_form_equals_recursion(capsys):
     elapsed = time.perf_counter() - started
     if elapsed >= 1.0:
         failures.append(f"took {elapsed:.2f}s, budget 1s")
-    _verdict(capsys, 1, "closed form and recursion agree on 1000 random configs", failures)
+    _verdict(capsys, 1, "records and recursion agree on 1000 random configs", failures)
 
 
 def test_c2_zero_delay_sums(capsys):
@@ -133,15 +121,11 @@ def test_c2_zero_delay_sums(capsys):
     failures: list[str] = []
     for case in range(200):
         config = _random_config(rng)
-        timings = ChannelTimings.zero(config.depth)
+        tree = delay_tree(config, [0] * config.depth, [0] * config.depth)
         for level in range(config.depth + 1):
-            prop = propagation_time(config, timings, level)
             expected = sum(config.hold_us[:level]) if level else config.hold_us[0]
-            if prop.micros != expected:
-                failures.append(f"case {case} level {level}: {prop.micros} != {expected}")
-            stale = staleness_time(config, timings, level)
-            if stale.micros != expected + config.service_period_us:
-                failures.append(f"case {case} level {level}: staleness off")
+            if tree[level].reach.micros != expected:
+                failures.append(f"case {case} level {level}: {tree[level].reach.micros} != {expected}")
         if failures:
             break
     _verdict(capsys, 2, "zero-delay propagation reduces to summed hold windows", failures)

@@ -13,24 +13,24 @@ from hypothesis import strategies as st
 
 from hiermon.capacity import PRESETS, PresetModel, SweepRow, max_machines, sweep_preset
 from hiermon.cli import main
-from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads, hierarchy_timings
-from hiermon.model import propagation_time
+from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads
+from support import reach_closed
 
 
 def oracle_rows(preset, coeffs, n_max, step):
-    """One full tree and one whole `hierarchy_loads` per machine count."""
+    """One full tree and one whole `hierarchy_loads` per machine count, its bound in closed form."""
     unit = preset.machines_per_unit
     stride = max(1, round(step / unit))
     rows = []
     for m in range(stride, n_max // unit + 1, stride):
         config = preset.config(m * unit)
-        loads = hierarchy_loads(config, coeffs)
-        timings = hierarchy_timings(loads)
-        saturated = [lv for lv in range(1, config.depth + 1) if timings.t_in[lv].is_saturated]
+        tree = hierarchy_loads(config, coeffs)
+        t_in = [level.t_in for level in tree]
+        saturated = [lv for lv in range(1, config.depth + 1) if t_in[lv].is_saturated]
         rows.append(SweepRow(
             n_total=m * unit,
-            t_prop=propagation_time(config, timings, config.depth),
-            root_utilization=loads[config.depth].utilization,
+            t_prop=reach_closed(config, t_in, [level.t_out_us for level in tree], config.depth),
+            root_utilization=tree[config.depth].utilization,
             first_saturated_level=saturated[0] if saturated else None,
         ))
     return rows

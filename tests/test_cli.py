@@ -1,6 +1,7 @@
 """Command-line interface: presets, sweeps, file formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -13,12 +14,8 @@ from random import Random
 import pytest
 
 from hiermon.capacity import PRESETS, max_machines, sweep_preset
-from hiermon.cli import (
-    main,
-    read_config_file,
-    read_timings_file,
-    write_config_file,
-)
+from hiermon import capacity, cli
+from hiermon.cli import main, read_config_file, read_timings_file
 from hiermon.loadmodel import (
     DEFAULT_COEFFICIENTS,
     MAX_CALIBRATION_KB,
@@ -29,6 +26,8 @@ from hiermon.loadmodel import (
 )
 from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total
 from hiermon.sim import SimConfig, run
+from support import write_config_file
+from test_capacity import HOST_COEFFICIENTS
 
 
 def run_cli(capsys, *argv):
@@ -226,25 +225,30 @@ def test_config_file_rejects_invalid_hierarchy(tmp_path):
         read_config_file(path)
 
 
+TWO_LEVEL = HierarchyConfig.from_seconds(2, [1, 4, 4], [10.0] * 3, 10.0)
+
+
 def test_timings_file_parses_saturated_marker(tmp_path):
     path = tmp_path / "timings.txt"
     path.write_text("t_in_s.1=0.25\nt_out_s.1=0.1\nt_in_s.2=Saturated\nt_out_s.2=0.5\n")
-    timings = read_timings_file(path, 2)
-    assert timings.t_in == (LatencyBound(0), LatencyBound(250_000), SATURATED)
-    assert timings.t_out_us == (0, 100_000, 500_000)
+    tree = read_timings_file(path, TWO_LEVEL)
+    assert [level.t_in for level in tree] == [LatencyBound(0), LatencyBound(250_000), SATURATED]
+    assert [level.t_out_us for level in tree] == [0, 100_000, 500_000]
+    assert all(level[:3] == (None, None, None) for level in tree)  # no load fields
 
 
 def test_timings_file_reads_infinite_inflow_as_saturated(tmp_path):
     path = tmp_path / "timings.txt"
     path.write_text("t_in_s.1=inf\nt_out_s.1=0.1\n")
-    assert read_timings_file(path, 1).t_in == (LatencyBound(0), SATURATED)
+    config = HierarchyConfig.from_seconds(1, [1, 4], [10.0, 10.0], 10.0)
+    assert [level.t_in for level in read_timings_file(path, config)] == [LatencyBound(0), SATURATED]
 
 
 def test_timings_file_rejects_negative_delay(tmp_path):
     path = tmp_path / "timings.txt"
     path.write_text("t_in_s.1=-0.1\nt_out_s.1=0.1\n")
     with pytest.raises(ValueError, match=">= 0"):
-        read_timings_file(path, 1)
+        read_timings_file(path, HierarchyConfig.from_seconds(1, [1, 4], [10.0, 10.0], 10.0))
 
 
 # --- analyze -------------------------------------------------------------------
@@ -297,6 +301,55 @@ def test_analyze_rejects_n_total_with_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--config", str(topo), "--n-total", "40")
     assert code == 2
     assert "--n-total" in err
+
+
+#: A three-level tree whose timings file saturates level 3 and needs rounding below it.
+SATURATED_TIMINGS = (
+    "h=3\nfanout.0=2\nfanout.1=3\nfanout.2=2\nfanout.3=4\n"
+    "hold_s.0=1.5\nhold_s.1=0.25\nhold_s.2=7\nhold_s.3=2.0000005\nservice_period_s=0.75\n",
+    "t_in_s.1=0.0625\nt_out_s.1=0.1234567\nt_in_s.2=1.5e-7\nt_out_s.2=0.5\n"
+    "t_in_s.3=saturated\nt_out_s.3=0\n",
+)
+
+#: sha256 of `analyze` stdout per (coefficients, preset, machines); recorded before the
+#: per-level records replaced the separate timings, loads and bound functions.
+PINNED_ANALYZE = {
+    ("default", "single-level", 400): "00d69800c95f3c3f4da67bbfa48402d2f12fd11366a86cada61b28a368da4be8",
+    # the root saturates
+    ("default", "single-level", 2000): "dcea6e9399ed7fef11d0affea559f95d06583d3d01bd802626eefcdd16f7a0f7",
+    ("default", "three-level", 400): "9bb15853d0a22a56f716a4fdc7f199d1a14da2c67a14ae57e546f41401846fba",
+    ("default", "two-level-100", 400): "5c9b14e78189de98ab1508df88c3b9ee46b9c35edb69e62159145399ae2365bf",
+    ("default", "two-level-50", 400): "83dde18f365138ba865d030bf09aecd22898298d757aa3ee678459888ce2a344",
+    ("host", "single-level", 400): "c8a95f7563e5406fb9b380b1c86a912d1835fa98dbe11fc79d2530c24f6efbba",
+    ("host", "three-level", 400): "b8f67a32b52eeb99815761e369d205ab63370e9bf743a73c2b0fbe74daa436da",
+    ("host", "two-level-100", 400): "bdd8cdf44e82d8f6a98219369546a7bf56a9e1c6106c743f288475c2ac7772d8",
+    ("host", "two-level-50", 400): "4298d74f1099953db9d8a6d880bce7012dda901858d831f4571053bd47669b37",
+}
+#: The same for `SATURATED_TIMINGS`.
+PINNED_TIMINGS_ANALYZE = "52c70dbc5bcb74570905cae48648378845a41f53bd1d1874c60c250073031b80"
+
+
+@pytest.mark.parametrize("coeffs, preset, n_total", sorted(PINNED_ANALYZE))
+def test_analyze_outputs_are_pinned(capsys, tmp_path, coeffs, preset, n_total):
+    argv = ["analyze", "--preset", preset, "--n-total", str(n_total)]
+    if coeffs == "host":
+        (tmp_path / "host.txt").write_text(HOST_COEFFICIENTS)
+        argv = ["--coeffs", str(tmp_path / "host.txt"), *argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ANALYZE[(coeffs, preset, n_total)]
+
+
+def test_analyze_timings_output_is_pinned(capsys, tmp_path):
+    config, timings = SATURATED_TIMINGS
+    (tmp_path / "topo.txt").write_text(config)
+    (tmp_path / "timings.txt").write_text(timings)
+    code, out, _ = run_cli(
+        capsys, "analyze", "--config", str(tmp_path / "topo.txt"), "--timings", str(tmp_path / "timings.txt")
+    )
+    assert code == 0
+    assert out.endswith("3,Saturated,Saturated\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TIMINGS_ANALYZE
 
 
 # --- simulate ------------------------------------------------------------------
@@ -632,6 +685,26 @@ def test_sweep_refuses_empty_ranges_before_writing(capsys, tmp_path, flags):
     assert "--n-max and --step must be at least 1" in err
     assert out == ""
     assert not out_dir.exists()
+
+
+def test_sweep_row_budget_refuses_before_any_row(monkeypatch, capsys, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused sweep built rows")
+
+    monkeypatch.setattr(cli, "sweep_preset", forbidden)
+    monkeypatch.setattr(cli, "max_machines", forbidden)
+    out_dir = tmp_path / "out"
+    # 10**12 single-level rows alone
+    code, out, err = run_cli(capsys, "--out", str(out_dir), "sweep", "--n-max", str(10**12), "--step", "1")
+    assert code == 2
+    assert f"above the budget of {capacity.MAX_SWEEP_ROWS}" in err
+    assert out == "" and not out_dir.exists()
+    # the budget counts every preset's rows: 980 400 + 19 608 here
+    argv = ["sweep", "--presets", "single-level", "two-level-50", "--n-max", "980400", "--step", "1"]
+    code, _, err = run_cli(capsys, "--out", str(out_dir), *argv)
+    assert code == 2
+    assert "the sweep would build 1000008 rows, above the budget of 1000000" in err
+    capacity.check_sweep([PRESETS["single-level"]], capacity.MAX_SWEEP_ROWS, 1)  # at the budget: accepted
 
 
 # --- global flags and parsing ---------------------------------------------------

@@ -16,15 +16,16 @@ from hiermon.loadmodel import (
     MachineLoad,
     fit,
     hierarchy_loads,
-    hierarchy_timings,
+    level_above,
     level_load,
     measure_costs,
     read_coefficients,
     write_coefficients,
     write_samples_csv,
 )
-from hiermon.model import SATURATED, HierarchyConfig, propagation_time
+from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, seconds_to_micros
 from hiermon.report import REFERENCE_NODE_REPORT_BYTES
+from support import reach_closed, reach_recursive
 
 TINY_OUTPUT = (1e-12, 1e-9)
 
@@ -190,21 +191,23 @@ class TestHierarchyLoads:
     def test_three_level_defaults_stay_unsaturated(self):
         loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
         assert len(loads) == 4
-        assert not any(t.is_saturated for t in hierarchy_timings(loads).t_in)
+        assert not any(level.t_in.is_saturated for level in loads)
         assert loads[1].utilization == pytest.approx(0.054 + 0.055 / 30, rel=1e-6)
-        assert loads[0].t_in_s == 0.0
+        assert loads[0].t_in.micros == loads[0].t_out_us == 0
 
     def test_first_level_inflow_matches_hand_arithmetic(self):
         loads = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
         u1 = loads[1].utilization
         expected = 0.005 + (0.050 + 0.008 * 0.5) / (1 - u1)
-        assert loads[1].t_in_s == pytest.approx(expected, rel=1e-12)
+        level1 = level_above(DEFAULT_COEFFICIENTS, loads[0], 10, THREE_LEVEL.hold_us[1])
+        assert level1.t_in_s == pytest.approx(expected, rel=1e-12)
+        assert loads[1].t_in.micros == seconds_to_micros(level1.t_in_s)
 
     def test_oversubscribed_single_level_saturates_the_bound(self):
         cfg = HierarchyConfig.from_seconds(1, [1, 1333], [60, 60], 60)
-        timings = hierarchy_timings(hierarchy_loads(cfg, DEFAULT_COEFFICIENTS))
-        assert timings.t_in[1] == SATURATED
-        assert propagation_time(cfg, timings, 1).is_saturated
+        root = hierarchy_loads(cfg, DEFAULT_COEFFICIENTS)[1]
+        assert root.t_in == SATURATED
+        assert root.reach.is_saturated
 
     @pytest.mark.parametrize("config, message", [
         (HierarchyConfig(2, (1, 0, 4), (30_000_000,) * 3, 30_000_000), "fanout[1] must be >= 1"),
@@ -225,12 +228,36 @@ class TestHierarchyLoads:
         assert [load.period_us for load in loads] == periods
         assert [load.size_kb for load in loads] == sizes
 
-    def test_timings_cover_every_level(self):
-        timings = hierarchy_timings(hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS))
-        assert len(timings.t_in) == len(timings.t_out_us) == THREE_LEVEL.depth + 1
-        assert all(not v.is_saturated and v.micros > 0 for v in timings.t_in[1:])
-        bound = propagation_time(THREE_LEVEL, timings, 3)
-        assert 70.0 < bound.seconds < 75.0
+    @settings(max_examples=300)
+    @given(trees(), st.sampled_from([DEFAULT_COEFFICIENTS, LoadCoefficients(5e-4, 2e-3, 0.0, 0.0, 0.0, 1e-3)]))
+    @example(HierarchyConfig.from_seconds(2, [1, 5, 400], [30, 30, 30], 30), DEFAULT_COEFFICIENTS)
+    @example(HierarchyConfig.from_seconds(3, [2, 3, 3, 2], [0.5, 7, 1, 600], 60), DEFAULT_COEFFICIENTS)
+    def test_records_carry_the_bound_of_their_own_delays(self, config, coeffs):
+        """Each record's delays are its load's, converted once; its reach is both oracles' bound;
+        the per-level shares add up to the root's bound, saturation included."""
+        tree = hierarchy_loads(config, coeffs)
+        loads = [level_load(coeffs, config.hold_us[0], config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024)]
+        for fanout, hold_us in zip(config.fanout[1:], config.hold_us[1:]):
+            loads.append(level_above(coeffs, loads[-1], fanout, hold_us))
+        for level, load in zip(tree[1:], loads[1:]):
+            assert level.t_in == LatencyBound.of_seconds(load.t_in_s)
+            assert level.t_out_us == seconds_to_micros(load.t_out_s)
+            assert level[:3] == (load.utilization, load.period_us, load.size_kb)
+        t_in, t_out = [level.t_in for level in tree], [level.t_out_us for level in tree]
+        for number, level in enumerate(tree):
+            assert level.reach == reach_closed(config, t_in, t_out, number)
+            assert level.reach == reach_recursive(config, t_in, t_out, number)
+        shares = [tree[0].reach] + [
+            SATURATED if upper.reach.is_saturated else LatencyBound(upper.reach.micros - lower.reach.micros)
+            for lower, upper in zip(tree, tree[1:])
+        ]
+        assert sum(shares, LatencyBound(0)) == tree[-1].reach
+
+    def test_records_cover_every_level(self):
+        tree = hierarchy_loads(THREE_LEVEL, DEFAULT_COEFFICIENTS)
+        assert len(tree) == THREE_LEVEL.depth + 1
+        assert all(not level.t_in.is_saturated and level.t_in.micros > 0 for level in tree[1:])
+        assert 70.0 < tree[3].reach.seconds < 75.0
 
 
 class TestMeasureCosts:

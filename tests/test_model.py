@@ -6,19 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hiermon.model import (
-    SATURATED,
-    ChannelTimings,
-    HierarchyConfig,
-    LatencyBound,
-    channels_at_level,
-    machines_total,
-    propagation_time,
-    propagation_time_recursive,
-    seconds_to_micros,
-    staleness_time,
-    validate,
-)
+from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total, seconds_to_micros, validate
+from support import delay_tree, reach_closed, reach_recursive
 
 
 def config_from_seconds(depth, fanout, hold_s, period_s):
@@ -86,19 +75,6 @@ class TestTreeCounting:
         cfg = config_from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
         assert machines_total(cfg) == 400
 
-    def test_channels_at_level(self):
-        cfg = config_from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
-        # Sensors sit on every machine; the root is unique.
-        assert channels_at_level(cfg, 0) == 400
-        assert channels_at_level(cfg, 1) == 40
-        assert channels_at_level(cfg, 2) == 4
-        assert channels_at_level(cfg, 3) == 1
-
-    def test_level_out_of_range(self):
-        cfg = config_from_seconds(1, [1, 10], [60, 60], 60)
-        with pytest.raises(ValueError):
-            channels_at_level(cfg, 2)
-
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6))
     def test_machine_count_is_product_of_group_sizes(self, groups):
         depth = len(groups)
@@ -110,47 +86,36 @@ class TestTreeCounting:
 
 
 class TestPropagationBound:
-    """Worked bounds for the reference hierarchies."""
+    """Worked bounds for the reference hierarchies, from records built on given delays."""
 
     def test_sensor_level_is_pickup_window(self):
         cfg = config_from_seconds(1, [1, 50], [60, 60], 60)
-        bound = propagation_time(cfg, ChannelTimings.zero(1), 0)
-        assert bound.micros == seconds_to_micros(60)
+        assert delay_tree(cfg, [0], [0])[0].reach.micros == seconds_to_micros(60)
 
     def test_single_level_free_network_is_sixty_seconds(self):
         cfg = config_from_seconds(1, [1, 50], [60, 60], 60)
-        bound = propagation_time(cfg, ChannelTimings.zero(1), 1)
-        assert bound.seconds == pytest.approx(60.0)
+        assert delay_tree(cfg, [0], [0])[1].reach.seconds == pytest.approx(60.0)
 
     def test_three_level_free_network_is_seventy_seconds(self):
         cfg = config_from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
-        bound = propagation_time(cfg, ChannelTimings.zero(3), 3)
-        assert bound.seconds == pytest.approx(70.0)
+        assert delay_tree(cfg, [0] * 3, [0] * 3)[3].reach.seconds == pytest.approx(70.0)
 
     def test_three_level_with_network_delays(self):
         # 10+30+30 of holds, 1+2+3 of inflow, 4+5 of outflow = 85 s at the root.
         cfg = config_from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
-        timings = ChannelTimings.from_seconds([1, 2, 3], [4, 5, 0])
-        bound = propagation_time(cfg, timings, 3)
+        bound = delay_tree(cfg, [1_000_000, 2_000_000, 3_000_000], [4_000_000, 5_000_000, 0])[3].reach
         assert bound.seconds == pytest.approx(85.0)
         assert bound.micros == seconds_to_micros(85)
 
-    def test_staleness_adds_one_reporting_period(self):
-        cfg = config_from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
-        stale = staleness_time(cfg, ChannelTimings.zero(3), 3)
-        assert stale.seconds == pytest.approx(80.0)
-
     def test_saturated_inflow_absorbs_everything_above(self):
         cfg = config_from_seconds(3, [1, 10, 10, 4], [10, 30, 30, 30], 10)
-        timings = ChannelTimings.from_seconds([1, float("inf"), 3], [4, 5, 0])
-        assert not propagation_time(cfg, timings, 1).is_saturated
-        assert propagation_time(cfg, timings, 2).is_saturated
-        assert propagation_time(cfg, timings, 3).is_saturated
-        assert staleness_time(cfg, timings, 2).is_saturated
+        tree = delay_tree(cfg, [1_000_000, None, 3_000_000], [4_000_000, 5_000_000, 0])
+        assert [level.reach.is_saturated for level in tree] == [False, False, True, True]
 
 
 @st.composite
-def configs_with_timings(draw):
+def configs_with_delays(draw):
+    """A tree and its levels 1..depth's delays in µs."""
     depth = draw(st.integers(min_value=1, max_value=6))
     micros = st.integers(min_value=1, max_value=120_000_000)
     fanout = tuple(
@@ -159,51 +124,38 @@ def configs_with_timings(draw):
     hold = tuple(draw(st.lists(micros, min_size=depth + 1, max_size=depth + 1)))
     cfg = HierarchyConfig(depth, fanout, hold, draw(micros))
     delay = st.integers(min_value=0, max_value=30_000_000)
-    t_in = (0, *draw(st.lists(delay, min_size=depth, max_size=depth)))
-    t_out = (0, *draw(st.lists(delay, min_size=depth, max_size=depth)))
-    return cfg, ChannelTimings(tuple(map(LatencyBound, t_in)), t_out)
+    t_in = draw(st.lists(delay, min_size=depth, max_size=depth))
+    t_out = draw(st.lists(delay, min_size=depth, max_size=depth))
+    return cfg, t_in, t_out
 
 
 class TestModelInvariants:
-    @given(configs_with_timings())
-    def test_closed_form_matches_recursion_exactly(self, case):
-        cfg, timings = case
+    @given(configs_with_delays())
+    def test_records_match_both_oracles_exactly(self, case):
+        cfg, t_in_us, t_out_us = case
+        tree = delay_tree(cfg, t_in_us, t_out_us)
+        t_in = (LatencyBound(0), *map(LatencyBound, t_in_us))
+        t_out = (0, *t_out_us)
         for level in range(cfg.depth + 1):
-            closed = propagation_time(cfg, timings, level)
-            unrolled = propagation_time_recursive(cfg, timings, level)
-            assert closed == unrolled
+            assert tree[level].reach == reach_closed(cfg, t_in, t_out, level)
+            assert tree[level].reach == reach_recursive(cfg, t_in, t_out, level)
 
-    @given(configs_with_timings())
+    @given(configs_with_delays())
     def test_bound_never_decreases_with_level(self, case):
-        cfg, timings = case
-        bounds = [propagation_time(cfg, timings, lv).micros for lv in range(cfg.depth + 1)]
+        bounds = [level.reach.micros for level in delay_tree(*case)]
         assert bounds == sorted(bounds)
 
-    @given(configs_with_timings())
+    @given(configs_with_delays())
     def test_free_network_bound_is_sum_of_windows(self, case):
-        cfg, _ = case
-        zero = ChannelTimings.zero(cfg.depth)
+        cfg, _, _ = case
+        tree = delay_tree(cfg, [0] * cfg.depth, [0] * cfg.depth)
         for level in range(1, cfg.depth + 1):
-            bound = propagation_time(cfg, zero, level)
-            assert bound.micros == sum(cfg.hold_us[:level])
+            assert tree[level].reach.micros == sum(cfg.hold_us[:level])
 
-    @given(configs_with_timings())
-    def test_staleness_exceeds_propagation_by_one_period(self, case):
-        cfg, timings = case
-        for level in range(cfg.depth + 1):
-            prop = propagation_time(cfg, timings, level)
-            stale = staleness_time(cfg, timings, level)
-            assert stale.micros - prop.micros == cfg.service_period_us
-
-    @given(configs_with_timings(), st.data())
+    @given(configs_with_delays(), st.data())
     def test_saturation_propagates_to_root(self, case, data):
-        cfg, timings = case
+        cfg, t_in, t_out = case
         cut = data.draw(st.integers(1, cfg.depth))
-        t_in = list(timings.t_in)
-        t_in[cut] = SATURATED
-        broken = ChannelTimings(tuple(t_in), timings.t_out_us)
-        for level in range(cut, cfg.depth + 1):
-            assert propagation_time(cfg, broken, level).is_saturated
-            assert propagation_time_recursive(cfg, broken, level).is_saturated
-        for level in range(cut):
-            assert not propagation_time(cfg, broken, level).is_saturated
+        t_in[cut - 1] = None
+        tree = delay_tree(cfg, t_in, t_out)
+        assert [level.reach.is_saturated for level in tree] == [lv >= cut for lv in range(cfg.depth + 1)]

@@ -19,12 +19,7 @@ from hypothesis import strategies as st
 
 from hiermon import channel, cli, report, sim
 from hiermon.channel import SensorLevel, Window, sensor_flush, window_leaves
-from hiermon.loadmodel import (
-    DEFAULT_COEFFICIENTS,
-    LoadCoefficients,
-    hierarchy_loads,
-    hierarchy_timings,
-)
+from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads
 from hiermon.model import HierarchyConfig, LatencyBound, machines_total
 from hiermon.report import iter_leaves, measure, parse, serialize
 from hiermon.sim import (
@@ -37,6 +32,7 @@ from hiermon.sim import (
     write_machines_csv,
     write_trace_csv,
 )
+from support import write_config_file
 
 SECOND = 1_000_000
 
@@ -88,6 +84,28 @@ class TestSimConfig:
         argv = ["--out", str(tmp_path), "simulate", "--preset", "two-level-50", "--n-total", "4000000"]
         assert cli.main(argv) == 2
         assert "36000000 rows, above the budget of 10000000" in capsys.readouterr().err
+
+    def test_event_budget_refuses_before_any_per_machine_state(self, monkeypatch, capsys, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refused run built per-machine state")
+
+        monkeypatch.setattr(sim, "SensorLevel", forbidden)
+        # 3 sensor flushes, so 3 rows, but 3e299 root flushes in the default duration
+        config = tmp_path / "tree.txt"
+        config.write_text("h=1\nfanout.0=1\nfanout.1=1\nhold_s.0=1e300\nhold_s.1=10\nservice_period_s=1\n")
+        assert cli.main(["--out", str(tmp_path), "simulate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: the run could take ")
+        assert f"events, above the budget of {sim.MAX_EVENTS}" in err
+
+    def test_event_budget_counts_every_flush_and_its_arrival(self):
+        hierarchy = HierarchyConfig.from_seconds(2, [1, 1, 1], [0.001, 0.002, 0.003], 0.001)
+        duration_us = 3 * 6_000 + 5_000  # 23, 11 and 7 flushes
+        with mock.patch.object(sim, "MAX_EVENTS", 2 * (23 + 11 + 7)):
+            SimConfig(hierarchy, duration_us=duration_us)
+        with mock.patch.object(sim, "MAX_EVENTS", 2 * (23 + 11 + 7) - 1):
+            with pytest.raises(ValueError, match="could take 82 events"):
+                SimConfig(hierarchy, duration_us=duration_us)
 
     def test_max_rows_raises_the_budget(self, capsys, tmp_path):
         # 10 machines x 1 service x 6 sensor flushes in the default 360 s
@@ -373,8 +391,7 @@ class TestAgainstModel:
 
 
 def _unsaturated(config: SimConfig) -> bool:
-    timings = hierarchy_timings(hierarchy_loads(config.hierarchy, config.coeffs))
-    return not any(t.is_saturated for t in timings.t_in)
+    return not hierarchy_loads(config.hierarchy, config.coeffs)[-1].reach.is_saturated
 
 
 @st.composite
@@ -478,7 +495,13 @@ def test_audit_matches_multiset_count_under_faults(monkeypatch, level, fault):
 )
 def test_audit_counts_missing_leaves_for_an_understated_bound(monkeypatch, config):
     """With the bound understated, covered leaves miss the root's last flush."""
-    monkeypatch.setattr(sim, "propagation_time", lambda *args: LatencyBound(SECOND // 2))
+    loads = sim.hierarchy_loads
+
+    def understated(*args):
+        *lower, root = loads(*args)
+        return (*lower, root._replace(reach=LatencyBound(SECOND // 2)))
+
+    monkeypatch.setattr(sim, "hierarchy_loads", understated)
     trace, root_flushes = run_recording_root_windows(config)
     assert not verify_against_model(trace).bound_respected
     report, repeated = multiset_audit(trace, root_windows(root_flushes))
@@ -563,7 +586,7 @@ class TestEdgeReports:
     def test_simulate_command_writes_pinned_outputs(self, capsys, tmp_path, tree):
         hierarchy, seed, jitter, trace_sha, machines_sha = PINNED_OUTPUTS[tree]
         config_path = tmp_path / "tree.txt"
-        cli.write_config_file(config_path, hierarchy)
+        write_config_file(config_path, hierarchy)
         argv = ["simulate", "--config", str(config_path), "--seed", str(seed),
                 "--jitter", str(jitter), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -636,16 +659,15 @@ class TestCollectorPause:
 class TestSaturation:
     def test_oversubscribed_root_is_flagged_not_simulated_away(self):
         hierarchy = HierarchyConfig.from_seconds(1, [1, 1333], [60, 60], 60)
-        timings = hierarchy_timings(hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS))
-        assert timings.t_in[1].is_saturated
+        assert hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS)[1].t_in.is_saturated
         with pytest.raises(ValueError, match="saturated channel levels: 1 "):
             run(SimConfig.build(hierarchy))
 
     def test_saturated_deeper_level_is_named(self):
         # Level 1 carries 5 light feeders; the root's 400 big inputs saturate it.
         hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 400], [30, 30, 30], 30)
-        timings = hierarchy_timings(hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS))
-        assert [t.is_saturated for t in timings.t_in] == [False, False, True]
+        tree = hierarchy_loads(hierarchy, DEFAULT_COEFFICIENTS)
+        assert [level.t_in.is_saturated for level in tree] == [False, False, True]
         with pytest.raises(ValueError, match="saturated channel levels: 2 "):
             run(SimConfig.build(hierarchy))
 

@@ -18,7 +18,7 @@ config = HierarchyConfig.from_seconds(
     hold_s=[10.0, 30.0, 30.0, 30.0],
     service_period_s=10.0,
 )
-period_s = config.service_period_seconds
+period_s = config.service_period_us / 1e6
 
 
 def delays(t_in_s, t_out_s):

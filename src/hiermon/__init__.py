@@ -19,7 +19,6 @@ _EXPORTS = {
     "hierarchy_loads": "hiermon.loadmodel",
     "machines_total": "hiermon.model",
     "run": "hiermon.sim",
-    "validate": "hiermon.model",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

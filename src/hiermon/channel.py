@@ -1,26 +1,15 @@
 """Sensor and channel levels: the publishers and aggregators of one tree level.
 
-Every member of a level shares its hold and flush schedule, so one object
-carries a whole level and one call flushes it.  A sensor level holds each
-machine's service phases: services tick at ``phase + k * period``, so a
-flush computes each machine's window from the phases instead of recording
-ticks, and reuses the window shapes of a steady schedule (see
-`SensorLevel`).  A flush publishes one `SensorBlock` per level-1 channel
-whose machines caught anything: the flush instant, the channel's machine
-range and the flush's `ShapeTable`, not one window per machine.  A channel
-level buffers whatever the level below publishes into it and, once per hold
-window, merges each channel's buffer into a single window that the forwarder
-republishes one level up.  The top-level channel emits system windows
-instead.
+One object carries a whole level and one call flushes it; README "How the
+simulator stays lean" describes sensor blocks and steady shape tables.  A
+channel level buffers what the level below publishes into it and, once per
+hold window, merges each channel's buffer into one window for the level
+above; the top level emits system windows.
 
 A flush returns ``[(channel index, output), …]`` for its non-empty outputs,
 in index order; a sensor block's index is its level-1 channel.  Windows list
-their children in the order they were collected, and leaves exist only when
-`window_leaves` (or a block's ``children``) spells them out;
-``hiermon.sim.window_report`` renders a window as a report tree.
-
-All state here is mutated solely by the simulator's event loop; instances
-must never be shared mutably across threads.
+their children in the order they were collected.  Only the simulator's event
+loop mutates this state, and no instance may be shared across threads.
 """
 
 from __future__ import annotations

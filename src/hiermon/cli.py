@@ -49,7 +49,7 @@ from hiermon.loadmodel import (
     write_coefficients,
     write_samples_csv,
 )
-from hiermon.model import MAX_ROWS, HierarchyConfig, LatencyBound, machines_total, validate
+from hiermon.model import MAX_ROWS, HierarchyConfig, LatencyBound, machines_total
 
 #: Names of `hiermon.sim` that `cmd_simulate` calls as attributes of this module.
 _SIM_NAMES = (
@@ -71,33 +71,24 @@ def __getattr__(name: str):
 # --- config and timings files -------------------------------------------------
 
 
+def _config(values: dict[str, str]) -> HierarchyConfig:
+    depth = int(values["h"])
+    fanout = [int(values[f"fanout.{i}"]) for i in range(depth + 1)]
+    hold_s = [float(values[f"hold_s.{i}"]) for i in range(depth + 1)]
+    return HierarchyConfig.from_seconds(depth, fanout, hold_s, float(values["service_period_s"]))
+
+
 def read_config_file(path: Path | str) -> HierarchyConfig:
     """Read a flat `h, fanout.i, hold_s.i, service_period_s` description."""
-    path = Path(path)
-    values = read_key_values(path)
-    try:
-        depth = int(values["h"])
-        fanout = [int(values[f"fanout.{i}"]) for i in range(depth + 1)]
-        hold_s = [float(values[f"hold_s.{i}"]) for i in range(depth + 1)]
-        period = float(values["service_period_s"])
-        config = HierarchyConfig.from_seconds(depth, fanout, hold_s, period)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    problems = validate(config)
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
-    return config
+    return read_key_values(path, _config)
 
 
 def read_timings_file(path: Path | str, config: HierarchyConfig) -> tuple[TreeLevel, ...]:
     """The tree's records, without load fields, from per-level delays: `t_in_s.i` (or
     `saturated`) and `t_out_s.i`."""
-    path = Path(path)
-    values = read_key_values(path)
-    t_in, t_out = [0.0], [0.0]  # the sensors' delays, which `tree_levels` does not read
-    try:
+
+    def build(values: dict[str, str]) -> tuple[TreeLevel, ...]:
+        t_in, t_out = [0.0], [0.0]  # the sensors' delays, which `tree_levels` does not read
         for level in range(1, config.depth + 1):
             raw = values[f"t_in_s.{level}"]
             t_in.append(math.inf if raw.lower() == "saturated" else float(raw))
@@ -105,10 +96,8 @@ def read_timings_file(path: Path | str, config: HierarchyConfig) -> tuple[TreeLe
         if any(v < 0 for v in t_in + t_out):
             raise ValueError("delays must be >= 0")
         return tree_levels(config, [MachineLoad(None, i, o, None, None) for i, o in zip(t_in, t_out)])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+
+    return read_key_values(path, build)
 
 
 # --- shared option handling -----------------------------------------------
@@ -166,10 +155,10 @@ def _fmt_seconds(bound: LatencyBound) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    coeffs = _load_coeffs(args)
     if args.timings is not None:
         tree = read_timings_file(args.timings, config)
     else:
+        coeffs = _load_coeffs(args)
         tree = hierarchy_loads(config, coeffs)
         print(f"# coefficients: {_coeffs_label(coeffs, args)}", file=sys.stderr)
     print("level,t_prop_s,t_stale_s")

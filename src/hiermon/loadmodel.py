@@ -24,12 +24,13 @@ import gc
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from hiermon.model import HierarchyConfig, LatencyBound, require_valid, seconds_to_micros
+from hiermon.model import HierarchyConfig, LatencyBound, seconds_to_micros
 from hiermon.report import (
     REFERENCE_NODE_REPORT_BYTES, LevelKind, aggregate, parse, report_of_size_kb, serialize,
 )
@@ -47,6 +48,17 @@ class CalibrationUnstableError(Exception):
         self.samples = samples or []
 
 
+#: The cost coefficients, in the order a coefficients file lists them.
+_COEFF_KEYS = (
+    "parse_s_per_kb",
+    "parse_fixed_s",
+    "serialize_s_per_kb",
+    "serialize_fixed_s",
+    "aggregate_s_per_kb",
+    "net_latency_s",
+)
+
+
 @dataclass(frozen=True)
 class LoadCoefficients:
     """Affine per-message costs, in seconds and seconds per kilobyte."""
@@ -60,14 +72,7 @@ class LoadCoefficients:
     calibrated: bool = False
 
     def __post_init__(self) -> None:
-        for name in (
-            "parse_s_per_kb",
-            "parse_fixed_s",
-            "serialize_s_per_kb",
-            "serialize_fixed_s",
-            "aggregate_s_per_kb",
-            "net_latency_s",
-        ):
+        for name in _COEFF_KEYS:
             if not 0.0 <= getattr(self, name) < math.inf:  # float bounds: NaN fails
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.parse_s_per_kb <= 0:
@@ -199,10 +204,8 @@ def tree_levels(config: HierarchyConfig, loads: Sequence[MachineLoad]) -> tuple[
 def hierarchy_loads(config: HierarchyConfig, coeffs: LoadCoefficients) -> tuple[TreeLevel, ...]:
     """Per-level records, indexed from the sensors (0) up to the root channel.
 
-    A sensor's report carries one reference-sized report per service.  Raises
-    ValueError, listing `model.validate`'s problems, for an unusable config.
+    A sensor's report carries one reference-sized report per service.
     """
-    require_valid(config)
     loads = [level_load(coeffs, config.hold_us[0], config.fanout[0] * REFERENCE_NODE_REPORT_BYTES / 1024)]
     for fanout, hold_us in zip(config.fanout[1:], config.hold_us[1:]):
         loads.append(level_above(coeffs, loads[-1], fanout, hold_us))
@@ -234,6 +237,18 @@ _TARGET_BATCH_S = 2e-3
 _ATTEMPTS = 3
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector in a block or call; restore the caller's setting after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _time_operation(op: Callable[[], object], repetitions: int) -> float:
     """Median CPU seconds per call, batching calls so each sample dwarfs timer noise.
 
@@ -248,9 +263,7 @@ def _time_operation(op: Callable[[], object], repetitions: int) -> float:
     import statistics  # before any timing: its first import must not land in a sample
 
     op()  # warm caches before estimating
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         probe_start = time.thread_time_ns()
         op()
         probe = max(time.thread_time_ns() - probe_start, 1)
@@ -266,9 +279,6 @@ def _time_operation(op: Callable[[], object], repetitions: int) -> float:
             q1, _, q3 = statistics.quantiles(samples, n=4)
             if median > 0 and (q3 - q1) <= 0.5 * median:
                 return median
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     raise CalibrationUnstableError(
         f"spread {q3 - q1:.3g}s exceeds half the median {median:.3g}s"
         f" in each of {_ATTEMPTS} runs"
@@ -378,27 +388,21 @@ def fit(samples: Sequence[CostSample]) -> tuple[LoadCoefficients, FitReport]:
 
 # --- persistence --------------------------------------------------------------
 
-_COEFF_KEYS = (
-    "parse_s_per_kb",
-    "parse_fixed_s",
-    "serialize_s_per_kb",
-    "serialize_fixed_s",
-    "aggregate_s_per_kb",
-    "net_latency_s",
-)
-
-
 def write_coefficients(path: Path | str, coeffs: LoadCoefficients) -> None:
     lines = [f"{key}={getattr(coeffs, key)!r}" for key in _COEFF_KEYS]
     lines.append(f"calibrated={'true' if coeffs.calibrated else 'false'}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_key_values(path: Path | str) -> dict[str, str]:
-    """Read a flat ``key=value`` file; blank lines and ``#`` comments are skipped.
+_T = TypeVar("_T")
 
-    Raises :class:`ValueError` naming the path when the file cannot be read or
-    decoded, and naming ``path:lineno`` for a line without ``=``.
+
+def read_key_values(path: Path | str, build: Callable[[dict[str, str]], _T]) -> _T:
+    """``build`` applied to a flat ``key=value`` file; blank lines and ``#`` comments are skipped.
+
+    Every error is a :class:`ValueError` naming the path: a file that cannot
+    be read or decoded, a line without ``=`` (as ``path:lineno``), and any
+    KeyError or ValueError from ``build``, a KeyError as the missing key.
     """
     try:
         text = Path(path).read_text()
@@ -415,23 +419,28 @@ def read_key_values(path: Path | str) -> dict[str, str]:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         values[key.strip()] = value.strip()
-    return values
+    try:
+        return build(values)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _coefficients(values: dict[str, str]) -> LoadCoefficients:
+    missing = [k for k in (*_COEFF_KEYS, "calibrated") if k not in values]
+    if missing:
+        raise ValueError(f"missing keys: {', '.join(missing)}")
+    costs = {key: float(values[key]) for key in _COEFF_KEYS}
+    flag = values["calibrated"].lower()
+    if flag not in ("true", "false"):
+        raise ValueError(f"calibrated must be true or false, got {flag!r}")
+    return LoadCoefficients(**costs, calibrated=flag == "true")
 
 
 def read_coefficients(path: Path | str) -> LoadCoefficients:
     """Read a `write_coefficients` file; every ValueError names the path."""
-    values = read_key_values(path)
-    missing = [k for k in (*_COEFF_KEYS, "calibrated") if k not in values]
-    if missing:
-        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    try:
-        costs = {key: float(values[key]) for key in _COEFF_KEYS}
-        flag = values["calibrated"].lower()
-        if flag not in ("true", "false"):
-            raise ValueError(f"calibrated must be true or false, got {flag!r}")
-        return LoadCoefficients(**costs, calibrated=flag == "true")
-    except ValueError as exc:  # a value that is no float, or one `LoadCoefficients` refuses
-        raise ValueError(f"{path}: {exc}") from None
+    return read_key_values(path, _coefficients)
 
 
 def write_samples_csv(path: Path | str, samples: Sequence[CostSample]) -> None:

@@ -31,10 +31,6 @@ def seconds_to_micros(value: float) -> int:
         raise ValueError(f"duration must be finite, got {value!r}") from None
 
 
-def micros_to_seconds(value: int) -> float:
-    return value / MICROS_PER_SECOND
-
-
 @dataclass(frozen=True)
 class LatencyBound:
     """A worst-case delay: integer microseconds, or saturated (unbounded).
@@ -57,7 +53,7 @@ class LatencyBound:
 
     @property
     def seconds(self) -> float:
-        return math.inf if self.micros is None else micros_to_seconds(self.micros)
+        return math.inf if self.micros is None else self.micros / MICROS_PER_SECOND
 
     def __add__(self, other: "LatencyBound | int") -> "LatencyBound":
         extra = other.micros if isinstance(other, LatencyBound) else other
@@ -81,7 +77,9 @@ class HierarchyConfig:
     ``fanout[i]`` is the number of level-(i-1) feeders per level-i node;
     ``fanout[0]`` counts application services per sensor.  ``hold_us[i]`` is
     the accumulation window of level i, with index 0 being the sensor pickup
-    period.  Both sequences are indexed 0..depth inclusive.
+    period.  Both sequences are indexed 0..depth inclusive.  A tree that breaks
+    a rule cannot be built, by the constructor, `from_seconds` or
+    `dataclasses.replace`.
     """
 
     depth: int
@@ -104,44 +102,28 @@ class HierarchyConfig:
             service_period_us=seconds_to_micros(service_period_s),
         )
 
-    @property
-    def hold_seconds(self) -> tuple[float, ...]:
-        return tuple(micros_to_seconds(h) for h in self.hold_us)
-
-    @property
-    def service_period_seconds(self) -> float:
-        return micros_to_seconds(self.service_period_us)
-
-
-def validate(config: HierarchyConfig) -> list[str]:
-    """Return every constraint violation; an empty list means the config is usable."""
-    problems: list[str] = []
-    if config.depth < 1:
-        problems.append("depth must be >= 1")
-    expected = config.depth + 1
-    if len(config.fanout) != expected:
-        problems.append(f"fanout length must be depth+1 ({expected}), got {len(config.fanout)}")
-    if len(config.hold_us) != expected:
-        problems.append(f"hold_s length must be depth+1 ({expected}), got {len(config.hold_us)}")
-    for i, f in enumerate(config.fanout):
-        if f < 1:
-            problems.append(f"fanout[{i}] must be >= 1")
-    for i, h in enumerate(config.hold_us):
-        if h <= 0:
-            problems.append(f"hold_s[{i}] must be > 0")
-    if config.service_period_us <= 0:
-        problems.append("service_period_s must be > 0")
-    return problems
-
-
-def require_valid(config: HierarchyConfig) -> None:
-    """Raise ValueError listing every problem :func:`validate` finds."""
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid hierarchy config: " + "; ".join(problems))
+    def __post_init__(self) -> None:
+        """Refuse an unusable tree, listing every rule it breaks."""
+        problems: list[str] = []
+        if self.depth < 1:
+            problems.append("depth must be >= 1")
+        expected = self.depth + 1
+        if len(self.fanout) != expected:
+            problems.append(f"fanout length must be depth+1 ({expected}), got {len(self.fanout)}")
+        if len(self.hold_us) != expected:
+            problems.append(f"hold_s length must be depth+1 ({expected}), got {len(self.hold_us)}")
+        for i, f in enumerate(self.fanout):
+            if f < 1:
+                problems.append(f"fanout[{i}] must be >= 1")
+        for i, h in enumerate(self.hold_us):
+            if h <= 0:
+                problems.append(f"hold_s[{i}] must be > 0")
+        if self.service_period_us <= 0:
+            problems.append("service_period_s must be > 0")
+        if problems:
+            raise ValueError("invalid hierarchy config: " + "; ".join(problems))
 
 
 def machines_total(config: HierarchyConfig) -> int:
     """Monitored machines in the tree: one sensor per machine."""
-    require_valid(config)
     return prod(config.fanout[1:])

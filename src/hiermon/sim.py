@@ -1,65 +1,37 @@
 """Deterministic discrete-event simulation of a whole monitoring tree.
 
-The event loop drives sensor flushes, channel flushes and message arrivals
-on an integer-microsecond clock.  Delivery delays and the analytic
-worst-case bound come from the same per-level records
-(`loadmodel.hierarchy_loads`), so every observed propagation can be compared
-exactly against the bound.  `SimConfig` refuses a run whose trace could
-exceed the row budget or whose events could exceed `MAX_EVENTS`, and `run`
-refuses a saturated tree, all before any per-machine state.
+The event loop runs on an integer-microsecond clock and takes its delays and
+its bound from the per-level records of `loadmodel.hierarchy_loads`, so every
+observed propagation compares exactly against the bound.  README "How the
+simulator stays lean" explains why work grows with levels, not machines;
+these are the rules it does not state.
 
-Event rules.  Every level is one object with one flush schedule, and the
-heap holds one entry per (instant, kind, level): ``SENSOR_FLUSH`` and
-``CHANNEL_FLUSH`` flush a whole level in index order, and
-``CHANNEL_ARRIVAL`` hands one level the ``(channel, output)`` pairs of one
-flush below, in source order, ``t_out[L] + t_in[L+1]`` after it
-(``t_in[1]`` after the sensors' flush).  At equal instants channel flushes
-run first, then the sensor flush, then arrivals, so an output arriving
-exactly at a flush instant lands in the next window.  No two entries share
-a key, since each receiving level is fed by one source level over one fixed
-delay, so members act in the order per-member events with a push-sequence
-tie-break would run them, and each channel buffers its children in source
-order.
-
-Invariants.
-- Leaves exist only at the edge.  A sensor flush publishes one
-  `channel.SensorBlock` per non-empty level-1 channel; a steady schedule
-  builds one shape table in closed form, at the first flush when every
-  phase is below the period, and reuses it, so such a flush costs
-  O(channels).  Expanding blocks in machine order, then shape order, gives
-  the order of one window per machine, so `window_leaves`,
-  `write_trace_csv` and `window_report` see the per-leaf depth-first order.
-- `write_trace_csv` caches steady-table rows per (range, age) less their
-  emission instant (machines x services x distinct ages at most; other
-  tables cache nothing).  Both exports write `_BATCH_ROWS`-row batches.
-- The trace keeps no window and no leaf: `SimTrace.arrivals` logs
-  ``(now, blocks)`` per root arrival, and counts and the worst propagation
-  come from each block's leaf count and earliest offset.
-- Losslessness is audited at the root flush.  In-flight blocks are keyed by
-  (flush instant, machine range), and only the block object the sensors
-  published consumes its entry.  Any other block (repeated or invented by a
-  faulty channel) is settled leaf by leaf against its ranges' entries, so
-  the counts equal a multiset count of root leaves.  Leaf-level work is left
-  for that, for a flush straddling the coverage horizon, and for the
-  end-of-run ``missing`` count.
-- `run` and `write_trace_csv` pause the cyclic collector: neither builds
-  reference cycles, so reference counting frees all they discard.
-- One `Random(seed)` draws the tick phases before the loop and nothing else:
-  identical configs give byte-identical exports.
+- The heap holds one entry per (instant, kind, level).  ``CHANNEL_ARRIVAL``
+  hands one level the ``(channel, output)`` pairs of one flush below, in
+  source order, ``t_out[L] + t_in[L+1]`` after it (``t_in[1]`` after the
+  sensors' flush).
+- At equal instants channel flushes run first, then the sensor flush, then
+  arrivals, so an output arriving exactly at a flush instant lands in the
+  next window.  Each level is fed by one source level over one fixed delay,
+  so no two entries share a key and each channel buffers its children in
+  source order.
+- The loss audit goes leaf by leaf only for a block the sensors did not
+  publish, a flush straddling the coverage horizon, and the end-of-run
+  ``missing`` count.
+- `SimConfig` refuses a run over its row or event budget, and `run` a
+  saturated tree, before any per-machine state.
 """
 
 from __future__ import annotations
 
 import enum
-import gc
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
 from pathlib import Path
 from random import Random
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from hiermon.channel import (
     ChannelLevel,
@@ -72,10 +44,8 @@ from hiermon.channel import (
     sensor_flush,
     window_blocks,
 )
-from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads
-from hiermon.model import (
-    MAX_ROWS, HierarchyConfig, LatencyBound, machines_total, require_valid, seconds_to_micros,
-)
+from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, collector_paused, hierarchy_loads
+from hiermon.model import MAX_ROWS, HierarchyConfig, LatencyBound, machines_total, seconds_to_micros
 from hiermon.report import LevelKind, Report, synthetic_service_report
 
 
@@ -128,7 +98,6 @@ class SimConfig:
         return cls(hierarchy, coeffs, duration_us, seed, jitter_fraction, max_rows)
 
     def __post_init__(self) -> None:
-        require_valid(self.hierarchy)
         if self.duration_us < 3 * sum(self.hierarchy.hold_us):
             raise ValueError("duration must cover at least 3 runs of stacked hold windows")
         if not 0.0 <= self.jitter_fraction < 1.0:
@@ -197,18 +166,6 @@ class LosslessnessReport(NamedTuple):
         return self.missing == 0 and self.duplicated == 0
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector in a block or call; restore the caller's setting after."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _machine_labels(total: int) -> list[str]:
     width = max(4, len(str(total)))
     return ["m-" + str(number).zfill(width) for number in range(1, total + 1)]
@@ -260,7 +217,7 @@ def _settle_leaves(
     return duplicated
 
 
-@_collector_paused()
+@collector_paused()
 def run(config: SimConfig) -> SimTrace:
     """Execute one simulation; see the module docstring for the event rules.
 
@@ -449,7 +406,7 @@ def _row_pieces(block: SensorBlock, age: int) -> list[tuple[str, int, str]]:
     ]
 
 
-@_collector_paused()
+@collector_paused()
 def write_trace_csv(path: Path | str, trace: SimTrace) -> None:
     """CSV rows as `csv.writer` would write them; service ids never need quoting.
 

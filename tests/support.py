@@ -35,8 +35,8 @@ def write_config_file(path: Path | str, config) -> None:
     """Write ``config`` in the `hiermon.cli.read_config_file` format."""
     lines = [f"h={config.depth}"]
     lines += [f"fanout.{i}={f}" for i, f in enumerate(config.fanout)]
-    lines += [f"hold_s.{i}={h}" for i, h in enumerate(config.hold_seconds)]
-    lines.append(f"service_period_s={config.service_period_seconds}")
+    lines += [f"hold_s.{i}={h / 1e6}" for i, h in enumerate(config.hold_us)]
+    lines.append(f"service_period_s={config.service_period_us / 1e6}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -59,8 +59,8 @@ def test_preset_config_shapes():
     config = PRESETS["three-level"].config(400)
     assert config.depth == 3
     assert config.fanout == (1, 10, 10, 4)
-    assert config.hold_seconds == (10.0, 30.0, 30.0, 30.0)
-    assert config.service_period_seconds == 10.0
+    assert config.hold_us == (10_000_000, 30_000_000, 30_000_000, 30_000_000)
+    assert config.service_period_us == 10_000_000
     assert machines_total(config) == 400
 
     config = PRESETS["two-level-50"].config(400)
@@ -272,12 +272,16 @@ def test_analyze_with_explicit_timings(capsys, tmp_path):
     write_config_file(topo, HierarchyConfig.from_seconds(1, [1, 4], [10.0, 10.0], 10.0))
     timings = tmp_path / "timings.txt"
     timings.write_text("t_in_s.1=0.5\nt_out_s.1=0.25\n")
-    code, out, err = run_cli(
-        capsys, "analyze", "--config", str(topo), "--timings", str(timings)
-    )
+    bad = tmp_path / "bad.txt"
+    bad.write_text("parse_fixed_s=nan\n")
+    argv = ["analyze", "--config", str(topo), "--timings", str(timings)]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert err == ""  # no load-model banner when delays are given explicitly
     assert out.strip().splitlines()[2] == "1,10.500000,20.500000"
+    # The delays replace the load model, so a bad or missing --coeffs file is never read.
+    for coeffs in (bad, tmp_path / "no-such-file.txt"):
+        assert run_cli(capsys, "--coeffs", str(coeffs), *argv) == (0, out, "")
 
 
 def test_analyze_marks_saturated_levels(capsys, tmp_path):

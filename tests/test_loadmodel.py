@@ -209,14 +209,15 @@ class TestHierarchyLoads:
         assert root.t_in == SATURATED
         assert root.reach.is_saturated
 
-    @pytest.mark.parametrize("config, message", [
-        (HierarchyConfig(2, (1, 0, 4), (30_000_000,) * 3, 30_000_000), "fanout[1] must be >= 1"),
-        (HierarchyConfig(1, (1, 4), (0, 30_000_000), 30_000_000), "hold_s[0] must be > 0"),
-        (HierarchyConfig(2, (1, 4), (30_000_000,) * 3, 30_000_000), "fanout length must be depth+1 (3), got 2"),
+    @pytest.mark.parametrize("fields, message", [
+        ((2, (1, 0, 4), (30_000_000,) * 3, 30_000_000), "fanout[1] must be >= 1"),
+        ((1, (1, 4), (0, 30_000_000), 30_000_000), "hold_s[0] must be > 0"),
+        ((2, (1, 4), (30_000_000,) * 3, 30_000_000), "fanout length must be depth+1 (3), got 2"),
     ], ids=["zero-fanout", "zero-hold", "short-fanout"])
-    def test_invalid_config_refused_with_the_validate_message(self, config, message):
+    def test_invalid_config_refused_with_its_rule_message(self, fields, message):
+        """The config refuses to be built, so no invalid tree reaches the load model."""
         with pytest.raises(ValueError, match=re.escape(f"invalid hierarchy config: {message}")):
-            hierarchy_loads(config, DEFAULT_COEFFICIENTS)
+            hierarchy_loads(HierarchyConfig(*fields), DEFAULT_COEFFICIENTS)
 
     @settings(max_examples=200)
     @given(trees())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total, seconds_to_micros, validate
+from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total, seconds_to_micros
 from support import delay_tree, reach_closed, reach_recursive
 
 
@@ -36,30 +39,59 @@ class TestLatencyBound:
         assert "60" in str(LatencyBound(60_000_000))
 
 
+def refused(*problems: str):
+    """Expect a `HierarchyConfig` to refuse to be built, listing exactly ``problems``."""
+    return pytest.raises(ValueError, match=re.escape("invalid hierarchy config: " + "; ".join(problems)) + "$")
+
+
 class TestValidation:
     def test_well_formed_config_passes(self):
         cfg = config_from_seconds(2, [1, 50, 4], [30, 30, 30], 30)
-        assert validate(cfg) == []
+        assert cfg == HierarchyConfig(2, (1, 50, 4), (30_000_000,) * 3, 30_000_000)
 
     def test_depth_zero_rejected(self):
-        cfg = HierarchyConfig(0, (1,), (10,), 10)
-        assert any("depth" in p for p in validate(cfg))
+        with refused("depth must be >= 1"):
+            HierarchyConfig(0, (1,), (10,), 10)
 
     def test_length_mismatch_reported(self):
-        cfg = HierarchyConfig(2, (1, 50), (10, 10, 10), 10)
-        assert any("fanout length" in p for p in validate(cfg))
+        with refused("fanout length must be depth+1 (3), got 2"):
+            HierarchyConfig(2, (1, 50), (10, 10, 10), 10)
 
     def test_nonpositive_hold_reported(self):
-        cfg = HierarchyConfig(1, (1, 10), (0, 10), 10)
-        assert any("hold_s[0]" in p for p in validate(cfg))
+        with refused("hold_s[0] must be > 0"):
+            HierarchyConfig(1, (1, 10), (0, 10), 10)
 
     def test_zero_fanout_reported(self):
-        cfg = HierarchyConfig(1, (1, 0), (10, 10), 10)
-        assert any("fanout[1]" in p for p in validate(cfg))
+        with refused("fanout[1] must be >= 1"):
+            HierarchyConfig(1, (1, 0), (10, 10), 10)
 
     def test_nonpositive_period_reported(self):
-        cfg = HierarchyConfig(1, (1, 10), (10, 10), 0)
-        assert any("service_period" in p for p in validate(cfg))
+        with refused("service_period_s must be > 0"):
+            HierarchyConfig(1, (1, 10), (10, 10), 0)
+
+    def test_every_broken_rule_is_listed_in_order(self):
+        with refused(
+            "hold_s length must be depth+1 (2), got 1",
+            "fanout[0] must be >= 1",
+            "fanout[1] must be >= 1",
+            "hold_s[0] must be > 0",
+            "service_period_s must be > 0",
+        ):
+            HierarchyConfig(1, (0, 0), (0,), -1)
+
+    def test_from_seconds_refuses_a_hold_that_rounds_to_zero(self):
+        with refused("hold_s[1] must be > 0"):
+            config_from_seconds(1, [1, 4], [10, 4e-7], 10)
+        with refused("fanout length must be depth+1 (2), got 3", "service_period_s must be > 0"):
+            config_from_seconds(1, [1, 4, 4], [10, 10], -1)
+
+    def test_replace_refuses_what_the_constructor_refuses(self):
+        cfg = config_from_seconds(2, [1, 50, 4], [30, 30, 30], 30)
+        with refused("fanout[2] must be >= 1"):
+            dataclasses.replace(cfg, fanout=(1, 50, 0))
+        with refused("fanout length must be depth+1 (4), got 3", "hold_s length must be depth+1 (4), got 3"):
+            dataclasses.replace(cfg, depth=3)
+        assert dataclasses.replace(cfg, service_period_us=1).service_period_us == 1
 
 
 class TestTreeCounting:

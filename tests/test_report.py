@@ -677,7 +677,7 @@ print(json.dumps(seen))
 def test_package_exports_load_lazily_as_their_home_objects():
     homes = {
         "hiermon.loadmodel": ["DEFAULT_COEFFICIENTS", "LoadCoefficients", "hierarchy_loads"],
-        "hiermon.model": ["SATURATED", "HierarchyConfig", "LatencyBound", "machines_total", "validate"],
+        "hiermon.model": ["SATURATED", "HierarchyConfig", "LatencyBound", "machines_total"],
         "hiermon.sim": ["SimConfig", "SimTrace", "run"],
     }
     code = f"""

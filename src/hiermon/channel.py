@@ -15,9 +15,14 @@ loop mutates this state, and no instance may be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from hiermon.report import LevelKind, LevelMismatchError
+
+#: Builds a NamedTuple from its field values without its Python-level ``__new__``; the
+#: flushes build every block and window this way.
+_new = tuple.__new__
 
 #: (machine index, service index, emitted µs): one service tick, end to end.
 Leaf = tuple[int, int, int]
@@ -97,8 +102,15 @@ class Window(NamedTuple):
 
 
 def window_blocks(window: Window | SensorBlock) -> Sequence[SensorBlock]:
-    """Every sensor block a window transitively contains, in depth-first order."""
-    if window.level == 0:
+    """Every sensor block a window transitively contains, in depth-first order.
+
+    A level-1 window's children are the blocks themselves, so the walk takes
+    one call per window and none per block.
+    """
+    level = window.level
+    if level == 1:
+        return window.children
+    if level == 0:
         return (window,)
     return [block for child in window.children for block in window_blocks(child)]
 
@@ -169,7 +181,7 @@ class SensorLevel:
             self.next_flush_us = self.hold_us
         if self.group < 1 or len(self.phases) % self.group:
             raise ValueError(f"{len(self.phases)} machines do not split into ranges of {self.group}")
-        latest = max(map(max, self.phases), default=0)
+        latest = max(chain.from_iterable(self.phases), default=0)
         self.settled_us = 0 if latest < self.period_us else latest
 
 
@@ -196,7 +208,7 @@ def sensor_flush(sensors: SensorLevel, now_us: int) -> list[tuple[int, SensorBlo
             table = _shape_table(sensors, shapes, False)
     group = sensors.group
     return [
-        (j, SensorBlock(now_us, j * group, j * group + group, table))
+        (j, _new(SensorBlock, (now_us, j * group, j * group + group, table)))
         for j, count in enumerate(table.counts)
         if count
     ]
@@ -266,6 +278,6 @@ def channel_flush(channels: ChannelLevel, now_us: int) -> list[tuple[int, Window
     out = []
     for j, buffer in enumerate(channels.buffers):
         if buffer:
-            out.append((j, Window(kind, level, ids[j], at_ms, tuple(buffer))))
+            out.append((j, _new(Window, (kind, level, ids[j], at_ms, tuple(buffer)))))
             buffer.clear()
     return out

@@ -243,11 +243,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     limits = []
     for name in args.presets:
         preset = PRESETS[name]
-        rows = sweep_preset(preset, coeffs, args.n_max, args.step)
         path = out / f"sweep_{name}.csv"
-        with open(path, "w", newline="") as handle:
+        rows = 0
+        with open(path, "w", newline="") as handle:  # each row written as it is built
             handle.write("n_total,t_prop_s,root_utilization,first_saturated_level\n")
-            for row in rows:
+            for rows, row in enumerate(sweep_preset(preset, coeffs, args.n_max, args.step), 1):
                 level = "none" if row.first_saturated_level is None else str(row.first_saturated_level)
                 handle.write(
                     f"{row.n_total},{_fmt_seconds(row.t_prop)},"
@@ -255,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
         limit = max_machines(preset, coeffs)
         limits.append((name, limit))
-        print(f"{name}: {len(rows)} rows -> {path}; max_machines={limit}")
+        print(f"{name}: {rows} rows -> {path}; max_machines={limit}")
     limits_path = out / "max_machines.csv"
     with open(limits_path, "w", newline="") as handle:
         handle.write("preset,max_machines\n")

@@ -15,9 +15,11 @@ these are the rules it does not state.
   next window.  Each level is fed by one source level over one fixed delay,
   so no two entries share a key and each channel buffers its children in
   source order.
-- The loss audit goes leaf by leaf only for a block the sensors did not
-  publish, a flush straddling the coverage horizon, and the end-of-run
-  ``missing`` count.
+- Each sensor flush is accounted once: its ``published`` and ``covered``
+  leaves come from the shape table's per-range counts.  `_covered` runs
+  block by block only for the one flush straddling the coverage horizon and
+  for the blocks still in flight at the end (the ``missing`` count); the
+  audit goes leaf by leaf only for a block the sensors did not publish.
 - `SimConfig` refuses a run over its row or event budget, and `run` a
   saturated tree, before any per-machine state.
 """
@@ -187,7 +189,7 @@ def _covered(block: SensorBlock, horizon_us: int) -> int:
     table = block.table
     last = horizon_us - block.at_us + table.hold_us  # the latest covered offset
     shapes = table.shapes[block.lo : block.hi]
-    return sum(1 for shape in shapes for _, offset in shape if offset <= last)
+    return len([offset for shape in shapes for _, offset in shape if offset <= last])
 
 
 def _settle_leaves(
@@ -289,10 +291,15 @@ def run(config: SimConfig) -> SimTrace:
         push(now + hierarchy.hold_us[level], kind, level)
         if level == 0:
             outs = sensor_flush(sensors, now)
-            for _, block in outs:
+            for _, block in outs:  # one by one: the audit knows a block by its identity
                 in_flight[now, block.lo, block.hi] = block
-                published += block.count
-                covered += _covered(block, horizon)
+            if outs:  # one account per flush: its blocks share its instant and its shape table
+                leaves = sum(outs[0][1].table.counts)
+                published += leaves
+                if now - 1 <= horizon:
+                    covered += leaves
+                elif now - hold0_us <= horizon:  # the one flush straddling the horizon
+                    covered += sum([_covered(block, horizon) for _, block in outs])
         else:
             outs = channel_flush(levels[level], now)
             if level == depth:  # the root: its one window is the system report

@@ -30,6 +30,33 @@ from random import Random
 from hiermon.loadmodel import MachineLoad, tree_levels
 from hiermon.model import LatencyBound
 
+#: A host about seven times slower than a 2-CPU machine that ``calibrate``
+#: measured, as a coefficients file: the host-scale capacity and simulation cases.
+HOST_COEFFICIENTS = """\
+parse_s_per_kb=0.000375
+parse_fixed_s=0.00015
+serialize_s_per_kb=0.000255
+serialize_fixed_s=7.5e-05
+aggregate_s_per_kb=1.125e-05
+net_latency_s=0.0005
+calibrated=true
+"""
+
+#: The benchmark's deep ``simulate`` tree as a config file: 400 machines x 4
+#: services, fanout 4/10/10/4, holds 10/30/30/30 s.
+DEEP_TREE_CONFIG = """\
+h=3
+fanout.0=4
+fanout.1=10
+fanout.2=10
+fanout.3=4
+hold_s.0=10
+hold_s.1=30
+hold_s.2=30
+hold_s.3=30
+service_period_s=10
+"""
+
 
 def write_config_file(path: Path | str, config) -> None:
     """Write ``config`` in the `hiermon.cli.read_config_file` format."""

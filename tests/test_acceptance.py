@@ -216,7 +216,7 @@ def test_c5_xml_roundtrip_and_node_sizing(capsys):
 def test_c6_saturation_shape_per_preset(capsys):
     failures: list[str] = []
     for name, preset in PRESETS.items():
-        rows = sweep_preset(preset, DEFAULT_COEFFICIENTS, n_max=12_000, step=100)
+        rows = list(sweep_preset(preset, DEFAULT_COEFFICIENTS, n_max=12_000, step=100))
         for earlier, later in zip(rows, rows[1:]):
             if later.root_utilization < earlier.root_utilization:
                 failures.append(f"{name}: utilization decreased at n={later.n_total}")

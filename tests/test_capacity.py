@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hiermon.capacity import PRESETS, PresetModel, SweepRow, max_machines, sweep_preset
 from hiermon.cli import main
 from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads
-from support import reach_closed
+from support import HOST_COEFFICIENTS, reach_closed
 
 
 def oracle_rows(preset, coeffs, n_max, step):
@@ -87,7 +87,7 @@ _coefficients = st.builds(
 @example(DEFAULT_COEFFICIENTS, 99, 50)
 def test_engine_equals_the_full_model(coeffs, n_max, step):
     for preset in PRESETS.values():
-        assert sweep_preset(preset, coeffs, n_max, step) == oracle_rows(preset, coeffs, n_max, step)
+        assert list(sweep_preset(preset, coeffs, n_max, step)) == oracle_rows(preset, coeffs, n_max, step)
         assert max_machines(preset, coeffs) == oracle_max_machines(preset, coeffs)
 
 
@@ -100,21 +100,11 @@ def test_saturated_lower_level_marks_every_row(coeffs, preset, level):
     """A saturated level below the root saturates every row, whatever the root's load."""
     model = PresetModel(PRESETS[preset], coeffs)
     assert model.lower_saturated == level
-    rows = sweep_preset(PRESETS[preset], coeffs, 3000, 100)
+    rows = list(sweep_preset(PRESETS[preset], coeffs, 3000, 100))
     assert any(r.root_utilization < 1.0 for r in rows)
     assert all(r.first_saturated_level == level and r.t_prop.is_saturated for r in rows)
     assert rows == oracle_rows(PRESETS[preset], coeffs, 3000, 100)
 
-
-HOST_COEFFICIENTS = """\
-parse_s_per_kb=0.000375
-parse_fixed_s=0.00015
-serialize_s_per_kb=0.000255
-serialize_fixed_s=7.5e-05
-aggregate_s_per_kb=1.125e-05
-net_latency_s=0.0005
-calibrated=true
-"""
 
 #: sha256 over each ``sweep`` output file's name and bytes, in name order, for
 #: the default and a host-scale coefficients file at two grids; recorded from

@@ -8,6 +8,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -26,8 +27,7 @@ from hiermon.loadmodel import (
 )
 from hiermon.model import SATURATED, HierarchyConfig, LatencyBound, machines_total
 from hiermon.sim import SimConfig, run
-from support import write_config_file
-from test_capacity import HOST_COEFFICIENTS
+from support import HOST_COEFFICIENTS, write_config_file
 
 
 def run_cli(capsys, *argv):
@@ -151,18 +151,18 @@ def test_max_machines_zero_when_tiny_tree_saturates():
 
 
 def test_sweep_rows_step_and_range():
-    rows = sweep_preset(PRESETS["two-level-50"], DEFAULT_COEFFICIENTS, 1000, 100)
+    rows = list(sweep_preset(PRESETS["two-level-50"], DEFAULT_COEFFICIENTS, 1000, 100))
     assert [r.n_total for r in rows] == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
 
 
 def test_sweep_stride_snaps_to_preset_unit():
-    rows = sweep_preset(PRESETS["three-level"], DEFAULT_COEFFICIENTS, 1000, 50)
+    rows = list(sweep_preset(PRESETS["three-level"], DEFAULT_COEFFICIENTS, 1000, 50))
     # steps of 50 are impossible when each top-level feeder adds 100 machines
     assert [r.n_total for r in rows] == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
 
 
 def test_sweep_utilization_monotone_and_saturation_marked():
-    rows = sweep_preset(PRESETS["single-level"], DEFAULT_COEFFICIENTS, 2000, 40)
+    rows = list(sweep_preset(PRESETS["single-level"], DEFAULT_COEFFICIENTS, 2000, 40))
     for earlier, later in zip(rows, rows[1:]):
         assert later.root_utilization >= earlier.root_utilization
     for row in rows:
@@ -193,7 +193,7 @@ def test_sweep_utilization_linear_before_knee():
 
 def test_sweep_latency_flat_before_knee():
     """The bound barely moves until utilization approaches the knee."""
-    rows = sweep_preset(PRESETS["single-level"], DEFAULT_COEFFICIENTS, 2000, 20)
+    rows = list(sweep_preset(PRESETS["single-level"], DEFAULT_COEFFICIENTS, 2000, 20))
     below = [r for r in rows if r.root_utilization < 0.9]
     first, last = below[0], below[-1]
     assert last.t_prop.micros / first.t_prop.micros < 1.05
@@ -709,6 +709,24 @@ def test_sweep_row_budget_refuses_before_any_row(monkeypatch, capsys, tmp_path):
     assert code == 2
     assert "the sweep would build 1000008 rows, above the budget of 1000000" in err
     capacity.check_sweep([PRESETS["single-level"]], capacity.MAX_SWEEP_ROWS, 1)  # at the budget: accepted
+
+
+def test_sweep_memory_does_not_grow_with_rows(capsys, tmp_path):
+    """`sweep` writes each row as it is built, so its peak traced memory is the same at
+    1 000 and at 10 000 rows; holding the rows would take about 1.5 MB more."""
+    argv = ["sweep", "--presets", "single-level", "--step", "1", "--n-max"]
+    assert main(["--out", str(tmp_path / "warm"), *argv, "1000"]) == 0  # parser and module caches
+    peaks = []
+    for n_max in (1_000, 10_000):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "--out", str(tmp_path / str(n_max)), *argv, str(n_max))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and f"single-level: {n_max} rows" in out
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 200_000
 
 
 # --- global flags and parsing ---------------------------------------------------

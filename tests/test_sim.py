@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermon import channel, cli, report, sim
+from hiermon.capacity import PRESETS
 from hiermon.channel import SensorLevel, Window, sensor_flush, window_leaves
 from hiermon.loadmodel import DEFAULT_COEFFICIENTS, LoadCoefficients, hierarchy_loads
 from hiermon.model import HierarchyConfig, LatencyBound, machines_total
@@ -32,7 +33,7 @@ from hiermon.sim import (
     write_machines_csv,
     write_trace_csv,
 )
-from support import write_config_file
+from support import DEEP_TREE_CONFIG, HOST_COEFFICIENTS, write_config_file
 
 SECOND = 1_000_000
 
@@ -319,6 +320,43 @@ def test_covered_counts_the_leaves_emitted_by_the_horizon(machines, period, hold
             for horizon in range(now - hold - 1, now + 1):
                 expected = sum(1 for _, _, emitted in block.children if emitted <= horizon)
                 assert sim._covered(block, horizon) == expected
+
+
+def test_flat_tree_bookkeeping_is_per_flush_and_per_window(monkeypatch):
+    """On the benchmark's flat tree `_covered` counts only the blocks of the one sensor flush
+    straddling the horizon and the blocks left in flight, and `window_blocks` only ever
+    walks windows: a level-1 window hands over its blocks without a call per block."""
+    flushes, covered_calls, walked = [], [], []
+    flush, covered, blocks_of = sim.sensor_flush, sim._covered, channel.window_blocks
+
+    def recording_flush(sensors, now_us):
+        out = flush(sensors, now_us)
+        flushes.append((now_us, [block for _, block in out]))
+        return out
+
+    def counting_covered(block, horizon_us):
+        covered_calls.append(block)
+        return covered(block, horizon_us)
+
+    def counting_blocks(window):
+        walked.append(window)
+        return blocks_of(window)
+
+    monkeypatch.setattr(sim, "sensor_flush", recording_flush)
+    monkeypatch.setattr(sim, "_covered", counting_covered)
+    monkeypatch.setattr(sim, "window_blocks", counting_blocks)
+    monkeypatch.setattr(channel, "window_blocks", counting_blocks)
+    config = SimConfig.build(PRESETS["two-level-50"].config(4000), seed=1, jitter_fraction=0.5)
+    trace = run(config)
+    hierarchy = config.hierarchy
+    horizon = config.duration_us - trace.analytic_bound.micros - hierarchy.hold_us[-1]
+    hold = hierarchy.hold_us[0]
+    straddling = [blocks for now, blocks in flushes if now - hold <= horizon < now - 1]
+    delivered = {id(block) for _, blocks in trace.arrivals for block in blocks}
+    left = [block for _, blocks in flushes for block in blocks if id(block) not in delivered]
+    assert len(straddling) == 1 and left and trace.losslessness.ok
+    assert Counter(map(id, covered_calls)) == Counter(map(id, straddling[0] + left))
+    assert walked and all(type(window) is Window for window in walked)
 
 
 class TestAgainstModel:
@@ -681,6 +719,53 @@ class TestSaturation:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+#: sha256 of trace.csv and machines.csv of the benchmark's two trees at seed 1,
+#: through `simulate --jitter 0.5 --seed 1`: flat is `--preset two-level-50
+#: --n-total 4000`, deep is `support.DEEP_TREE_CONFIG`.
+SCALE_OUTPUTS = {
+    "flat": (
+        "f7873f791cd9c72ab985040c383f531ab8e92d83a962b3a4f496939327f40e4d",
+        "86d32440886ad984c1e3800299ff0827e2c56d148184540e843754c3604eab91",
+    ),
+    "deep": (
+        "7248461f663ab9900aa1c7c762da660035316e98b251d0b292560effd5c4dc42",
+        "a8bb9071575a57d594d8d97c0746fd56668698496f29ed5736c01053d7d5861d",
+    ),
+}
+
+#: trace.csv of `simulate --preset two-level-50 --n-total 92650` under `HOST_COEFFICIENTS`:
+#: the root at its host-scale capacity, utilization 0.999.
+HOST_SCALE_TRACE = ("d323e75c45dc2a9ffa017f0a2303e3e83e279ef5e226613c4de9859b069e74b1", 648_550)
+
+
+class TestScaleOutputs:
+    @pytest.mark.parametrize("tree", sorted(SCALE_OUTPUTS))
+    def test_benchmark_trees_are_pinned(self, capsys, tmp_path, tree):
+        if tree == "flat":
+            topology = ["--preset", "two-level-50", "--n-total", "4000"]
+        else:
+            (tmp_path / "tree.cfg").write_text(DEEP_TREE_CONFIG)
+            topology = ["--config", str(tmp_path / "tree.cfg")]
+        argv = ["simulate", *topology, "--jitter", "0.5", "--seed", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        trace_sha, machines_sha = SCALE_OUTPUTS[tree]
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha
+        assert hashlib.sha256((tmp_path / "machines.csv").read_bytes()).hexdigest() == machines_sha
+        out = capsys.readouterr().out
+        assert "bound_respected: true\n" in out and "losslessness: ok " in out
+
+    def test_host_scale_trace_is_pinned(self, capsys, tmp_path):
+        (tmp_path / "host.txt").write_text(HOST_COEFFICIENTS)
+        argv = ["simulate", "--preset", "two-level-50", "--n-total", "92650",
+                "--coeffs", str(tmp_path / "host.txt"), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        data = (tmp_path / "trace.csv").read_bytes()
+        sha, rows = HOST_SCALE_TRACE
+        assert hashlib.sha256(data).hexdigest() == sha
+        assert data.count(b"\n") - 1 == rows
+        assert f"deliveries: {rows}\n" in capsys.readouterr().out
 
 
 def reference_trace_csv(trace) -> bytes:

@@ -14,7 +14,6 @@ from hiermon.loadmodel import LoadCoefficients
 from hiermon.model import HierarchyConfig
 from hiermon.sim import (
     SimConfig,
-    check_staleness,
     run,
     verify_against_model,
     write_trace_csv,
@@ -31,7 +30,7 @@ coeffs = LoadCoefficients(
 
 # 24 machines in a 2-level tree, service ticks jittered by up to half a period.
 hierarchy = HierarchyConfig.from_seconds(2, [2, 6, 4], [2.0, 5.0, 5.0], 2.0)
-trace = run(SimConfig.build(hierarchy, coeffs=coeffs, seed=2024, jitter_fraction=0.5))
+trace = run(SimConfig(hierarchy, coeffs=coeffs, seed=2024, jitter_fraction=0.5))
 
 print(f"simulated {trace.config.duration_us / 1e6:.0f}s, "
       f"{trace.delivered} report deliveries")
@@ -40,7 +39,7 @@ check = verify_against_model(trace)
 print(f"worst observed propagation: {trace.max_observed_prop_us / 1e6:.3f}s")
 print(f"analytic bound:             {trace.analytic_bound.seconds:.3f}s")
 print(f"bound respected: {check.bound_respected}   tightness: {check.tightness:.3f}")
-print(f"staleness bound holds: {check_staleness(trace)}")
+print(f"staleness bound holds: {check.staleness_respected}")
 
 loss = trace.losslessness
 print(f"losslessness: published={loss.published} covered={loss.covered} "
@@ -59,7 +58,7 @@ print(f"  emitted at {int(record['emitted_at_us']) / 1e6:.3f}s, "
 # Adversarial phasing: every window barely misses the flush below it, so the
 # observed worst case walks right up to the bound.
 adversarial = HierarchyConfig.from_seconds(2, [1, 5, 4], [10.0, 10.0, 10.0], 10.0)
-trace = run(SimConfig.build(adversarial, coeffs=coeffs, seed=5))
+trace = run(SimConfig(adversarial, coeffs=coeffs, seed=5))
 check = verify_against_model(trace)
 print()
 print(f"adversarial phasing: observed {trace.max_observed_prop_us / 1e6:.3f}s "

@@ -8,13 +8,13 @@ its traces, and `sweep` writes the capacity curve and limit that
 flags and files and formats results; the models live in their own modules.
 
 A command loads only what it runs.  The simulator's names (`run`,
-`SimConfig`, `check_staleness`, `verify_against_model`, `write_trace_csv`,
-`write_machines_csv`) stay attributes of this module, but the module-level
-`__getattr__` imports `hiermon.sim` on the first lookup of one and copies
-them into the module, never over a name already set.  `cmd_simulate` looks
-each one up on this module when it runs, so a hook or patch set on
-`hiermon.cli`, before or after that first lookup, replaces what `simulate`
-calls; a function-local import from `hiermon.sim` would bypass it.
+`SimConfig`, `verify_against_model`, `write_trace_csv`, `write_machines_csv`)
+stay attributes of this module, but the module-level `__getattr__` imports
+`hiermon.sim` on the first lookup of one and copies them into the module,
+never over a name already set.  `cmd_simulate` looks each one up on this
+module when it runs, so a hook or patch set on `hiermon.cli`, before or after
+that first lookup, replaces what `simulate` calls; a function-local import
+from `hiermon.sim` would bypass it.
 
 Exit codes: 0 success, 1 output pipe closed early, 2 usage/config error
 (including `simulate` on a saturated tree or over its row or event budget,
@@ -49,11 +49,11 @@ from hiermon.loadmodel import (
     write_coefficients,
     write_samples_csv,
 )
-from hiermon.model import MAX_ROWS, HierarchyConfig, LatencyBound, machines_total
+from hiermon.model import MAX_ROWS, HierarchyConfig, LatencyBound, machines_total, seconds_to_micros
 
 #: Names of `hiermon.sim` that `cmd_simulate` calls as attributes of this module.
 _SIM_NAMES = (
-    "SimConfig", "check_staleness", "run", "verify_against_model", "write_machines_csv", "write_trace_csv",
+    "SimConfig", "run", "verify_against_model", "write_machines_csv", "write_trace_csv",
 )
 
 
@@ -197,10 +197,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     coeffs = _load_coeffs(args)
     seed = _resolve_seed(args)
-    sim_config = cli.SimConfig.build(
+    sim_config = cli.SimConfig(
         config,
         coeffs=coeffs,
-        duration_s=args.duration,
+        duration_us=None if args.duration is None else seconds_to_micros(args.duration),
         seed=seed,
         jitter_fraction=args.jitter,
         max_rows=args.max_rows,
@@ -223,7 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check = cli.verify_against_model(trace)
     print(f"tightness: {check.tightness:.6f}")
     print(f"bound_respected: {'true' if check.bound_respected else 'false'}")
-    print(f"staleness_respected: {'true' if cli.check_staleness(trace) else 'false'}")
+    print(f"staleness_respected: {'true' if check.staleness_respected else 'false'}")
     loss = trace.losslessness
     status = "ok" if loss.ok else "VIOLATED"
     print(

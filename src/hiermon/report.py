@@ -273,21 +273,13 @@ def _require_attrs(elem: ElementTree.Element, allowed: set[str]) -> None:
         raise SchemaViolationError(f"<{elem.tag}>: " + "; ".join(detail))
 
 
-def _parse_int(elem: ElementTree.Element, attr: str) -> int:
+def _parse_number(elem: ElementTree.Element, attr: str, convert: type) -> float:
     try:
-        return int(elem.attrib[attr])
+        return convert(elem.attrib[attr])
     except ValueError:
+        noun = "an integer" if convert is int else "a number"
         raise SchemaViolationError(
-            f"<{elem.tag}> {attr}={elem.attrib[attr]!r} is not an integer"
-        ) from None
-
-
-def _parse_float(elem: ElementTree.Element, attr: str) -> float:
-    try:
-        return float(elem.attrib[attr])
-    except ValueError:
-        raise SchemaViolationError(
-            f"<{elem.tag}> {attr}={elem.attrib[attr]!r} is not a number"
+            f"<{elem.tag}> {attr}={elem.attrib[attr]!r} is not {noun}"
         ) from None
 
 
@@ -301,13 +293,13 @@ def _parse_service_report(elem: ElementTree.Element) -> ServiceReport:
         _require_attrs(child, _METRIC_ATTRS)
         if len(child) or (child.text is not None and child.text.strip()):
             raise SchemaViolationError("<metric> must be empty")
-        metrics.append((child.attrib["name"], _parse_float(child, "value")))
+        metrics.append((child.attrib["name"], _parse_number(child, "value", float)))
     try:
         return ServiceReport(
             service_id=elem.attrib["service"],
             source_machine=elem.attrib["source"],
-            period_s=_parse_float(elem, "period-s"),
-            generated_at_ms=_parse_int(elem, "generated-at-ms"),
+            period_s=_parse_number(elem, "period-s", float),
+            generated_at_ms=_parse_number(elem, "generated-at-ms", int),
             metrics=tuple(metrics),
         )
     except ValueError as exc:
@@ -344,7 +336,7 @@ def _parse_report(elem: ElementTree.Element, depth: int = 1) -> Report:
         return Report(
             level_kind=kind,
             source=elem.attrib["source"],
-            generated_at_ms=_parse_int(elem, "generated-at-ms"),
+            generated_at_ms=_parse_number(elem, "generated-at-ms", int),
             children=tuple(children),
         )
     except ValueError as exc:

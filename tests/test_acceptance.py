@@ -84,7 +84,7 @@ def _random_sim_config(rng: Random) -> SimConfig:
         for _ in range(depth):
             holds.append(float(rng.randint(int(holds[-1]), 4)))
         hierarchy = HierarchyConfig.from_seconds(depth, fanout, holds, holds[0])
-        return SimConfig.build(
+        return SimConfig(
             hierarchy,
             coeffs=CHEAP,
             seed=rng.randint(0, 2**31),
@@ -168,7 +168,7 @@ def test_c4_analytic_bound_sound_and_tight(capsys):
             break
     # adversarial phase: every level's window barely misses the previous flush
     hierarchy = HierarchyConfig.from_seconds(2, [1, 5, 4], [10, 10, 10], 10)
-    trace = run(SimConfig.build(hierarchy, coeffs=CHEAP, seed=5))
+    trace = run(SimConfig(hierarchy, coeffs=CHEAP, seed=5))
     check = verify_against_model(trace)
     if not check.bound_respected:
         failures.append("adversarial run exceeded the bound")

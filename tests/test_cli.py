@@ -400,7 +400,7 @@ def test_simulate_summary_and_files(capsys, tmp_path):
     )
     assert code == 0
     assert _summary_value(out, "machines") == "20"
-    trace = run(SimConfig.build(PRESETS["single-level"].config(20), seed=3))
+    trace = run(SimConfig(PRESETS["single-level"].config(20), seed=3))
     assert _summary_value(out, "events") == str(sum(trace.event_counts.values()))
     assert _summary_value(out, "bound_respected") == "true"
     assert _summary_value(out, "losslessness").startswith("ok")
@@ -419,7 +419,7 @@ def test_simulate_summary_and_files(capsys, tmp_path):
 
 
 def test_simulate_prints_the_staleness_verdict_after_the_bound(capsys, tmp_path, monkeypatch):
-    from hiermon import cli
+    from hiermon import cli, sim
 
     args = ("--out", str(tmp_path), "simulate", "--preset", "single-level", "--n-total", "20")
     code, out, _ = run_cli(capsys, *args)
@@ -427,10 +427,20 @@ def test_simulate_prints_the_staleness_verdict_after_the_bound(capsys, tmp_path,
     lines = out.splitlines()
     assert lines[lines.index("bound_respected: true") + 1] == "staleness_respected: true"
     checked = []
-    monkeypatch.setattr(cli, "check_staleness", lambda trace: checked.append(trace) or False)
+
+    def stale(trace):
+        checked.append(trace)
+        return sim.verify_against_model(trace)._replace(staleness_respected=False)
+
+    monkeypatch.setattr(cli, "verify_against_model", stale)
     code, out, _ = run_cli(capsys, *args)
     assert code == 0 and len(checked) == 1
+    assert _summary_value(out, "bound_respected") == "true"
     assert _summary_value(out, "staleness_respected") == "false"
+
+
+#: The names the benchmark hooks on `hiermon.cli`, in the order `simulate` calls them.
+BENCH_HOOKED_NAMES = ("run", "write_trace_csv", "write_machines_csv", "verify_against_model")
 
 
 def test_hooks_set_before_the_simulator_loads_are_what_simulate_calls(tmp_path):
@@ -440,6 +450,7 @@ def test_hooks_set_before_the_simulator_loads_are_what_simulate_calls(tmp_path):
     code = f"""
 import contextlib, io, json, sys
 import hiermon.cli as cli
+names = {BENCH_HOOKED_NAMES!r}
 calls = []
 
 def wrapped(name):
@@ -455,18 +466,21 @@ def simulate(out):
                          "--jitter", "0.5", "--seed", "3"]) == 0
 
 loaded_first = "hiermon.sim" in sys.modules
-cli.run, cli.write_trace_csv = wrapper_run, wrapper_trace = wrapped("run"), wrapped("write_trace_csv")
+wrappers = {{name: wrapped(name) for name in names}}
+for name, wrapper in wrappers.items():
+    setattr(cli, name, wrapper)
 simulate({str(tmp_path / "wrapped")!r})
-kept = cli.run is wrapper_run and cli.write_trace_csv is wrapper_trace
+kept = all(getattr(cli, name) is wrapper for name, wrapper in wrappers.items())
 import hiermon.sim
-cli.run, cli.write_trace_csv = hiermon.sim.run, hiermon.sim.write_trace_csv
+for name in names:
+    setattr(cli, name, getattr(hiermon.sim, name))
 simulate({str(tmp_path / "plain")!r})
 print(json.dumps([loaded_first, calls, kept]))
 """
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [False, ["run", "write_trace_csv"], True]
+    assert json.loads(result.stdout) == [False, list(BENCH_HOOKED_NAMES), True]
     assert (tmp_path / "wrapped" / "trace.csv").read_bytes().count(b"\n") > 1  # rows, not just a header
     for name in ("trace.csv", "machines.csv"):
         assert (tmp_path / "wrapped" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

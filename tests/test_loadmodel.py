@@ -281,7 +281,9 @@ class TestMeasureCosts:
         first = measure_costs([0.5, 5.0, 25.0], repetitions=30)
         second = measure_costs([0.5, 5.0, 25.0], repetitions=30)
         for a, b in zip(first, second):
-            assert abs(a.parse_s - b.parse_s) <= 0.5 * max(a.parse_s, b.parse_s)
+            assert abs(a.parse_s - b.parse_s) <= 0.5 * max(a.parse_s, b.parse_s), (
+                f"{a.size_kb:.3f} kB: parse medians {a.parse_s!r} s and {b.parse_s!r} s"
+            )
 
 
 def synthetic_samples(sizes=(0.5, 5.0, 25.0, 50.0)):

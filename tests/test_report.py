@@ -282,6 +282,26 @@ class TestParse:
                 b"</report>"
             )
 
+    @pytest.mark.parametrize(("bad", "message"), [
+        ({"report_at": "soon"}, "<report> generated-at-ms='soon' is not an integer"),
+        ({"service_at": "1.5"}, "<service-report> generated-at-ms='1.5' is not an integer"),
+        ({"period": "fast"}, "<service-report> period-s='fast' is not a number"),
+        ({"value": "high"}, "<metric> value='high' is not a number"),
+    ], ids=["report-generated-at-ms", "service-generated-at-ms", "period-s", "metric-value"])
+    def test_non_numeric_attribute_names_its_element_and_value(self, bad, message):
+        """The tree walk names the element, the attribute and the value it could not convert."""
+        doc = (  # one element per line: not canonical, so only the walk reads it
+            '<report kind="node" source="m" generated-at-ms="{report_at}">\n'
+            '<service-report service="s" source="m" period-s="{period}" generated-at-ms="{service_at}">\n'
+            '<metric name="cpu" value="{value}"/>\n'
+            "</service-report>\n</report>"
+        ).format(**{"report_at": "1", "service_at": "1", "period": "1.0", "value": "1.0", **bad})
+        assert report._parse_canonical(doc) is None
+        for data in (doc, doc.encode()):
+            with pytest.raises(SchemaViolationError) as raised:
+                parse(data)
+            assert str(raised.value) == message
+
     def test_stray_text_rejected(self):
         doc = (
             '<report kind="node" source="m" generated-at-ms="1">surprise'

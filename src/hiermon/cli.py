@@ -7,9 +7,11 @@ its traces, and `sweep` writes the capacity curve and limit that
 `hiermon.capacity` computes per hierarchy preset.  This module only parses
 flags and files and formats results; the models live in their own modules.
 
-A command loads only what it runs.  The simulator's names (`run`,
-`SimConfig`, `verify_against_model`, `write_trace_csv`, `write_machines_csv`)
-stay attributes of this module, but the module-level `__getattr__` imports
+A command loads only what it runs.  `main` builds the parser of the named
+subcommand alone, and re-parses with the full parser only to report leftover
+arguments in its words.  The simulator's names (`run`, `SimConfig`,
+`verify_against_model`, `write_trace_csv`, `write_machines_csv`) stay
+attributes of this module, but the module-level `__getattr__` imports
 `hiermon.sim` on the first lookup of one and copies them into the module,
 never over a name already set.  `cmd_simulate` looks each one up on this
 module when it runs, so a hook or patch set on `hiermon.cli`, before or after
@@ -290,7 +292,8 @@ def _add_topology(parser: argparse.ArgumentParser) -> None:
                         help="monitored machines for --preset (default 400)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(*, _only: str | None = None) -> argparse.ArgumentParser:
+    """The `hiermon` parser, with every subcommand or, internally, just the one `_only` names."""
     parser = argparse.ArgumentParser(
         prog="hiermon",
         description="Latency and capacity analysis of hierarchical monitoring trees.",
@@ -301,54 +304,58 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current directory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="per-level propagation/staleness table")
-    _add_topology(analyze)
-    analyze.add_argument("--timings", metavar="FILE",
-                         help="per-level delays, t_in_s.i (or saturated) and t_out_s.i, "
-                              "in place of the load model's")
-    _add_common(analyze)
-    analyze.set_defaults(func=cmd_analyze)
-
-    calibrate = sub.add_parser("calibrate", help="benchmark this host and fit coefficients")
-    calibrate.add_argument("--sizes", type=_sizes_list, default=[0.5, 5.0, 25.0, 50.0],
-                           metavar="KB,KB,...", help=f"report sizes in kB, each at most "
-                                                     f"{MAX_CALIBRATION_KB:g} (default 0.5,5,25,50)")
-    calibrate.add_argument("--reps", type=int, default=50, metavar="N",
-                           help=f"timing repetitions per operation, 30 to {MAX_CALIBRATION_REPS} (default 50)")
-    _add_common(calibrate)
-    calibrate.set_defaults(func=cmd_calibrate)
-
-    simulate = sub.add_parser("simulate", help="run one deterministic simulation")
-    _add_topology(simulate)
-    simulate.add_argument("--duration", type=float, default=None, metavar="S",
-                          help="simulated seconds (default: 3 stacked hold cycles)")
-    simulate.add_argument("--seed", type=int, default=1,
-                          help="simulation seed (HIERMON_SEED overrides)")
-    simulate.add_argument("--jitter", type=float, default=0.0, metavar="F",
-                          help="tick phase jitter as a fraction of the period (default 0)")
-    simulate.add_argument("--max-rows", type=int, default=MAX_ROWS, metavar="N",
-                          help="refuse a run whose trace.csv could exceed N rows, "
-                               f"counted as machines x services x sensor flushes (default {MAX_ROWS})")
-    _add_common(simulate)
-    simulate.set_defaults(func=cmd_simulate)
-
-    sweep = sub.add_parser("sweep", help="capacity sweep over hierarchy presets")
-    sweep.add_argument("--presets", nargs="+", choices=sorted(PRESETS),
-                       default=sorted(PRESETS), metavar="NAME",
-                       help="presets to sweep (default: all)")
-    sweep.add_argument("--n-max", type=int, default=6000, metavar="N",
-                       help="largest machine count (default 6000)")
-    sweep.add_argument("--step", type=int, default=50, metavar="N",
-                       help="machine-count step (default 50)")
-    _add_common(sweep)
-    sweep.set_defaults(func=cmd_sweep)
+    if _only in (None, "analyze"):
+        analyze = sub.add_parser("analyze", help="per-level propagation/staleness table")
+        _add_topology(analyze)
+        analyze.add_argument("--timings", metavar="FILE",
+                             help="per-level delays, t_in_s.i (or saturated) and t_out_s.i, "
+                                  "in place of the load model's")
+        _add_common(analyze)
+        analyze.set_defaults(func=cmd_analyze)
+    if _only in (None, "calibrate"):
+        calibrate = sub.add_parser("calibrate", help="benchmark this host and fit coefficients")
+        calibrate.add_argument("--sizes", type=_sizes_list, default=[0.5, 5.0, 25.0, 50.0],
+                               metavar="KB,KB,...", help=f"report sizes in kB, each at most "
+                                                         f"{MAX_CALIBRATION_KB:g} (default 0.5,5,25,50)")
+        calibrate.add_argument("--reps", type=int, default=50, metavar="N",
+                               help=f"timing repetitions per operation, 30 to {MAX_CALIBRATION_REPS} (default 50)")
+        _add_common(calibrate)
+        calibrate.set_defaults(func=cmd_calibrate)
+    if _only in (None, "simulate"):
+        simulate = sub.add_parser("simulate", help="run one deterministic simulation")
+        _add_topology(simulate)
+        simulate.add_argument("--duration", type=float, default=None, metavar="S",
+                              help="simulated seconds (default: 3 stacked hold cycles)")
+        simulate.add_argument("--seed", type=int, default=1,
+                              help="simulation seed (HIERMON_SEED overrides)")
+        simulate.add_argument("--jitter", type=float, default=0.0, metavar="F",
+                              help="tick phase jitter as a fraction of the period (default 0)")
+        simulate.add_argument("--max-rows", type=int, default=MAX_ROWS, metavar="N",
+                              help="refuse a run whose trace.csv could exceed N rows, "
+                                   f"counted as machines x services x sensor flushes (default {MAX_ROWS})")
+        _add_common(simulate)
+        simulate.set_defaults(func=cmd_simulate)
+    if _only in (None, "sweep"):
+        sweep = sub.add_parser("sweep", help="capacity sweep over hierarchy presets")
+        sweep.add_argument("--presets", nargs="+", choices=sorted(PRESETS),
+                           default=sorted(PRESETS), metavar="NAME",
+                           help="presets to sweep (default: all)")
+        sweep.add_argument("--n-max", type=int, default=6000, metavar="N",
+                           help="largest machine count (default 6000)")
+        sweep.add_argument("--step", type=int, default=50, metavar="N",
+                           help="machine-count step (default 50)")
+        _add_common(sweep)
+        sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in ("analyze", "calibrate", "simulate", "sweep") else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(_only=only).parse_known_args(argv)
+        if extra:  # the full parser's error text
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -14,7 +14,9 @@ the only source of parse errors.  The scan enforces every rule of the
 `ServiceReport` and `Report` constructors itself and builds values without
 rerunning them; input that breaks one goes to the walk, so for any input the
 scan accepts, the two paths return equal reports.  Nesting deeper than
-`MAX_NESTING` reports is a schema violation on both.
+`MAX_NESTING` reports is a schema violation on both.  `aggregate` builds its
+result without the constructor too: one pass over the children refuses a
+system report or a non-report, then it checks `source` as the constructor does.
 """
 
 from __future__ import annotations
@@ -121,13 +123,13 @@ class Report:
         _check_xml_text(self.source)
         if not self.children:
             raise ValueError("a report must contain at least one child")
-        if self.level_kind is LevelKind.NODE:
+        if self.level_kind is _NODE:
             if not all(isinstance(c, ServiceReport) for c in self.children):
                 raise ValueError("node reports contain only service reports")
         else:
             if not all(isinstance(c, Report) for c in self.children):
                 raise ValueError("aggregated reports contain only reports")
-            if any(c.level_kind is LevelKind.SYSTEM for c in self.children):
+            if any(c.level_kind is _SYSTEM for c in self.children):
                 raise ValueError("a system report cannot be nested")
 
 
@@ -143,7 +145,7 @@ def iter_leaves(report: Report) -> Iterator[ServiceReport]:
     stack = [report]
     while stack:
         top = stack.pop()
-        if top.level_kind is LevelKind.NODE:
+        if top.level_kind is _NODE:
             yield from top.children
         else:
             stack.extend(reversed(top.children))
@@ -168,7 +170,7 @@ def make_node_report(
         kept = latest.get(sr.service_id)
         if kept is None or sr.generated_at_ms >= kept.generated_at_ms:
             latest[sr.service_id] = sr
-    return Report(LevelKind.NODE, source, now, tuple(latest.values()))
+    return Report(_NODE, source, now, tuple(latest.values()))
 
 
 def aggregate(
@@ -182,18 +184,23 @@ def aggregate(
     """
     if not children:
         raise EmptyWindowError(f"no reports buffered on {source}")
-    if level_kind is LevelKind.NODE:
+    if level_kind is _NODE:
         raise LevelMismatchError("aggregation cannot produce a node report")
     deduped: dict[tuple[str, int], Report] = {}
     for child in children:
-        if child.level_kind is LevelKind.SYSTEM:
+        if child.level_kind is _SYSTEM:
             raise LevelMismatchError("a system report cannot be aggregated further")
+        if not isinstance(child, Report):
+            raise ValueError("aggregated reports contain only reports")
         deduped[(child.source, child.generated_at_ms)] = child
-    return Report(level_kind, source, now, tuple(deduped.values()))
+    if not source:
+        raise ValueError("source must be non-empty")
+    _check_xml_text(source)
+    return _report(level_kind, source, now, tuple(deduped.values()))
 
 
 _ESCAPED = re.compile('[&<>"\t\n\r]')
-_KIND_NAMES = {kind: kind.value for kind in LevelKind}
+_NODE, _INTERMEDIATE, _SYSTEM = LevelKind  # globals, read several times faster than members
 
 
 def _attr(value: str) -> str:
@@ -220,9 +227,10 @@ def _write_service_report(sr: ServiceReport, out: list[str]) -> None:
 
 
 def _write_report(report: Report, out: list[str]) -> None:
-    out.append(f'<report kind="{_KIND_NAMES[report.level_kind]}" source="{_attr(report.source)}"'
+    kind = report.level_kind
+    out.append(f'<report kind="{kind._value_}" source="{_attr(report.source)}"'
                f' generated-at-ms="{report.generated_at_ms}">')
-    write = _write_service_report if report.level_kind is LevelKind.NODE else _write_report
+    write = _write_service_report if kind is _NODE else _write_report
     for child in report.children:
         write(child, out)
     out.append("</report>")
@@ -410,31 +418,31 @@ def _parse_canonical(data: bytes | str) -> Report | None:
         tokens = _token().findall(text)
         if sum([len(token[0]) for token in tokens]) != len(text):
             return None
-        document: list = []
-        open_reports: list[tuple] = [(None, "", 0, document)]  # the document, then each open report
+        kind, children, stack = None, [], []  # the innermost open report: at first, the document
         for token in tokens:  # groups: 0 whole, 1-7 one-service node, 8-12 service, 13-15 open tag
             whole = token[0]
-            parent_kind, _, _, siblings = open_reports[-1]
             if whole[1] == "s":  # a service report
-                if parent_kind is not LevelKind.NODE:
+                if kind is not _NODE:
                     return None
-                siblings.append(_service_report(*token[8:13]))
+                children.append(_service_report(*token[8:13]))
             elif whole[1] == "/":  # a close tag
-                if len(open_reports) == 1 or not siblings:
+                if not stack or not children:
                     return None
-                kind, source, at, children = open_reports.pop()
-                open_reports[-1][3].append(_report(kind, source, at, tuple(children)))
-            elif parent_kind is LevelKind.NODE or len(open_reports) > MAX_NESTING:
+                parent_kind, siblings, source, at = stack.pop()
+                siblings.append(_report(kind, source, at, tuple(children)))
+                kind, children = parent_kind, siblings
+            elif kind is _NODE or len(stack) >= MAX_NESTING:
                 return None
             elif whole[-2] == "t":  # ends in `</report>`: a node report with one service report
                 node = (_service_report(*token[3:8]),)
-                siblings.append(_report(LevelKind.NODE, token[1], int(token[2]), node))
-            else:  # an open tag
-                kind = _KINDS[token[13]]
-                if kind is LevelKind.SYSTEM and len(open_reports) > 1:
+                children.append(_report(_NODE, token[1], int(token[2]), node))
+            else:  # an open tag: its parent's kind and children, its source and time go on the stack
+                opened = _KINDS[token[13]]
+                if opened is _SYSTEM and stack:
                     return None
-                open_reports.append((kind, token[14], int(token[15]), []))
-        return document[0] if len(open_reports) == 1 and len(document) == 1 else None
+                stack.append((kind, children, token[14], int(token[15])))
+                kind, children = opened, []
+        return children[0] if not stack and len(children) == 1 else None  # children: the document
     except (KeyError, ValueError):  # an unknown kind, a failed conversion or check, bad UTF-8
         return None
 

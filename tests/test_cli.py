@@ -769,6 +769,31 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["analyze", "--help"],
+    ["calibrate", "--help"],
+    ["simulate", "--help"],
+    ["sweep", "--help"],
+    [],
+    ["bogus"],
+    ["simulate", "--preset", "single-level", "--bogus"],
+    ["--out", "x", "simulate", "--bogus"],
+    ["sweep", "--n-max", "x"],
+    ["analyze", "--preset", "single-level", "extra"],
+    ["analyze", "--preset", "single-level", "--timings"],
+])
+def test_parser_text_matches_the_full_parser(capsys, argv):
+    """`main` builds only the named subcommand's parser; every help, usage and error text,
+    and the exit code, must still be the full parser's.  Computed here, not pinned:
+    the wrap follows the terminal width."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    code = 0 if exit_info.value.code in (0, None) else 2
+    assert run_cli(capsys, *argv) == (code, expected.out, expected.err)
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     """A reader that stops early (`hiermon sweep | head -1`) gets no traceback."""
     src = Path(__file__).resolve().parent.parent / "src"

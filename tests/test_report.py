@@ -159,6 +159,38 @@ class TestAggregate:
         with pytest.raises(LevelMismatchError):
             aggregate([system], LevelKind.SYSTEM, "root2", now=2000)
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("empty", EmptyWindowError, "no reports buffered on ch"),
+        ("node target", LevelMismatchError, "aggregation cannot produce a node report"),
+        ("system child", LevelMismatchError, "a system report cannot be aggregated further"),
+        ("empty source", ValueError, "source must be non-empty"),
+        ("control character", ValueError, "ids and metric names must be characters XML 1.0 can carry"),
+    ])
+    def test_refusals_keep_their_type_and_message(self, case, error, message):
+        node = default_node_report()
+        children, kind, source = {
+            "empty": ([], LevelKind.INTERMEDIATE, "ch"),
+            "node target": ([node], LevelKind.NODE, "ch"),
+            "system child": ([Report(LevelKind.SYSTEM, "root", 1000, (node,))], LevelKind.SYSTEM, "ch"),
+            "empty source": ([node], LevelKind.INTERMEDIATE, ""),
+            "control character": ([node], LevelKind.INTERMEDIATE, "ch\x01"),
+        }[case]
+        with pytest.raises(error) as raised:
+            aggregate(children, kind, source, now=2000)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("case", ["redelivery", "distinct windows"])
+    def test_result_is_what_the_constructor_builds(self, case):
+        """`aggregate` builds its result without rerunning the constructor's checks."""
+        node = default_node_report("m-0001", generated_at_ms=1000)
+        windows = [make_node_report("m-0001", [sr(at=t)], now=t + 1) for t in (1000, 2000, 3000)]
+        children, kept = {"redelivery": ([node, node], (node,)),
+                          "distinct windows": (windows, tuple(windows))}[case]
+        agg = aggregate(children, LevelKind.INTERMEDIATE, "ch", now=4000)
+        built = Report(LevelKind.INTERMEDIATE, "ch", 4000, kept)
+        assert agg == built
+        assert serialize(agg) == serialize(built)
+
 
 class TestWireFormat:
     def test_single_line_and_attribute_order(self):
